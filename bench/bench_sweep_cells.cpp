@@ -7,8 +7,13 @@
 // BENCH_sweep.json, so the performance trajectory has data points CI can
 // archive and diff across commits.
 //
-// Exit code 2 if the grouped result diverges from the ungrouped one (this
-// doubles as a determinism guard), 0 otherwise; the speedup itself is
+// A second row runs a 3-policy grid (none / requeue-heft / reactive-ftsa
+// under a bernoulli and a repair law) the same two ways: its wall times,
+// its online-run and move counters and its own grouped==ungrouped check
+// land in the record under "policy_*" keys.
+//
+// Exit code 2 if either grouped result diverges from its ungrouped one
+// (this doubles as a determinism guard), 0 otherwise; the speedup itself is
 // reported, not asserted, so a loaded CI machine cannot turn noise into a
 // red build.
 //
@@ -92,6 +97,42 @@ int main(int argc, char** argv) {
             << " simulations run, " << grouped_stats.dedupe_hits
             << " served from the per-group draw cache\n";
 
+  // The policy row: the online path end to end.
+  FigureConfig policy_config = config;
+  policy_config.scenarios = {"t0", "frac:f=0.5"};
+  policy_config.failure_models = {"bernoulli:p=0.3", "repair:p=0.3,mttr=0.5"};
+  policy_config.policies = {"none", "requeue-heft", "reactive-ftsa"};
+  const SweepPlan policy_plan(policy_config);
+  SweepResult policy_ungrouped;
+  const double policy_ungrouped_seconds =
+      timed_run(policy_plan, /*group=*/false, policy_ungrouped);
+  SweepResult policy_grouped;
+  RunPlanStats policy_stats;
+  const double policy_grouped_seconds =
+      timed_run(policy_plan, /*group=*/true, policy_grouped, &policy_stats);
+  const bool policy_identical =
+      sweep_results_identical(policy_grouped, policy_ungrouped);
+  std::cout << "\n=== policy grid (" << policy_plan.scenarios().size()
+            << "s x " << policy_plan.failures().size() << "f x "
+            << policy_plan.policies().size() << " policies, "
+            << policy_plan.size() << " instances) ===\n";
+  TextTable policy_table({"path", "wall-s", "instances/s"});
+  const auto policy_rate = [&](double seconds) {
+    return seconds > 0.0 ? static_cast<double>(policy_plan.size()) / seconds
+                         : 0.0;
+  };
+  policy_table.add_row({"ungrouped (legacy)",
+                        format_double(policy_ungrouped_seconds, 3),
+                        format_double(policy_rate(policy_ungrouped_seconds), 1)});
+  policy_table.add_row({"grouped", format_double(policy_grouped_seconds, 3),
+                        format_double(policy_rate(policy_grouped_seconds), 1)});
+  policy_table.print(std::cout);
+  std::cout << "bit-identical: " << (policy_identical ? "yes" : "NO") << "\n";
+  std::cout << "grouped: " << policy_stats.online_runs << " online runs ("
+            << policy_stats.policy_moves << " moves), "
+            << policy_stats.simulations_run << " static simulations, "
+            << policy_stats.dedupe_hits << " cache hits\n";
+
   // Machine-readable trajectory record (locale-proof number rendering).
   std::ofstream json(json_path);
   if (!json.good()) {
@@ -118,11 +159,25 @@ int main(int argc, char** argv) {
        << spec_detail::render_double(cells_per_sec(grouped_seconds))
        << ",\"simulations_run\":" << grouped_stats.simulations_run
        << ",\"dedupe_hits\":" << grouped_stats.dedupe_hits
-       << ",\"identical\":" << (identical ? "true" : "false") << "}\n";
+       << ",\"identical\":" << (identical ? "true" : "false")
+       << ",\"policy_policies\":" << policy_plan.policies().size()
+       << ",\"policy_failures\":" << policy_plan.failures().size()
+       << ",\"policy_scenarios\":" << policy_plan.scenarios().size()
+       << ",\"policy_instances\":" << policy_plan.size()
+       << ",\"policy_ungrouped_seconds\":"
+       << spec_detail::render_double(policy_ungrouped_seconds)
+       << ",\"policy_grouped_seconds\":"
+       << spec_detail::render_double(policy_grouped_seconds)
+       << ",\"policy_online_runs\":" << policy_stats.online_runs
+       << ",\"policy_moves\":" << policy_stats.policy_moves
+       << ",\"policy_simulations_run\":" << policy_stats.simulations_run
+       << ",\"policy_dedupe_hits\":" << policy_stats.dedupe_hits
+       << ",\"policy_identical\":" << (policy_identical ? "true" : "false")
+       << "}\n";
   json.close();
   std::cout << "wrote " << json_path << "\n";
 
-  if (!identical) {
+  if (!identical || !policy_identical) {
     std::cout << "ERROR: grouped sweep diverged from the ungrouped path\n";
     return 2;
   }

@@ -22,6 +22,12 @@ namespace ftsched {
 /// cached vector.
 [[nodiscard]] std::vector<double> bottom_levels(const CostModel& costs);
 
+/// Tasks by descending bℓ, ties toward the lower task id: HEFT's order and
+/// the order the online rescheduling policies place pending replicas in.
+/// Memoised beside bottom_levels() on the same per-thread revision key, so
+/// repeated calls for one cost model are a copy.
+[[nodiscard]] std::vector<TaskId> bottom_level_order(const CostModel& costs);
+
 /// Static top level: tℓ̄(t) = 0 for entry tasks, otherwise
 /// max over predecessors t* of { tℓ̄(t*) + E̅(t*) + W̅(t*,t) }.
 /// (Average-cost analogue used by tests and ablations; the scheduling loops

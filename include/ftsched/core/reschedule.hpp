@@ -58,14 +58,16 @@ class OnlineView {
   /// Finish time of the replica running on `p`, or 0 when idle; policies
   /// max() this with the event time to get the processor's availability.
   [[nodiscard]] virtual double backlog(std::size_t p) const = 0;
-  /// Appends `p`'s pending replicas in queue order.
+  /// Appends `p`'s pending replicas, each once: its queue's in queue
+  /// order, then those moved onto `p` in arrival order.
   virtual void pending_on(
       std::size_t p,
       std::vector<std::pair<TaskId, std::size_t>>& out) const = 0;
-  /// True iff `p` hosts a non-lost (pending, running or completed) replica
-  /// of `t` — used to keep a task's replicas on distinct processors.
-  [[nodiscard]] virtual bool hosts_live_replica(TaskId t,
-                                                std::size_t p) const = 0;
+  /// Appends the processors hosting a non-lost (pending, running or
+  /// completed) replica of `t`, in replica order — used to keep a task's
+  /// replicas on distinct processors.  A processor hosting two such
+  /// replicas is appended twice.
+  virtual void live_hosts(TaskId t, std::vector<std::size_t>& out) const = 0;
 };
 
 /// Policy callback invoked by ScheduleSimulator::run_online on every crash

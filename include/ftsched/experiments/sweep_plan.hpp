@@ -74,6 +74,16 @@ class SweepSink {
                          const SeriesSample& sample) = 0;
 };
 
+/// Execution counters of one run_plan call or evaluate_group call (grouped
+/// path only — the legacy per-coordinate path runs without a cache and
+/// reports nothing).
+struct RunPlanStats {
+  std::uint64_t simulations_run = 0;  ///< static event simulations run
+  std::uint64_t dedupe_hits = 0;      ///< static ones served from group caches
+  std::uint64_t online_runs = 0;      ///< online (policy-driven) simulations
+  std::uint64_t policy_moves = 0;     ///< replica moves those runs applied
+};
+
 /// An addressable sweep grid plus a selected subset of it.
 ///
 /// Construction resolves the (workload × scenario) cells once — specs
@@ -176,11 +186,11 @@ class SweepPlan {
   /// All members share one SimulationCache, so cells whose (victims,
   /// instants) draws coincide run the event simulation once (cross-cell
   /// draw dedupe — the shared schedules make cached Summaries valid across
-  /// the whole group).  When `stats` is non-null the cache counters are
-  /// accumulated into it.
+  /// the whole group).  When `stats` is non-null the cache counters and the
+  /// online runs and moves are accumulated into it.
   [[nodiscard]] std::vector<SeriesSample> evaluate_group(
       const std::vector<std::size_t>& members,
-      SimulationCache::Stats* stats = nullptr) const;
+      RunPlanStats* stats = nullptr) const;
 
  private:
   struct Cell {
@@ -210,13 +220,6 @@ class SweepPlan {
   std::string shard_label_ = "full";
 };
 
-/// Execution counters of one run_plan call (grouped path only — the legacy
-/// per-coordinate path runs without a cache and reports nothing).
-struct RunPlanStats {
-  std::uint64_t simulations_run = 0;  ///< event simulations actually run
-  std::uint64_t dedupe_hits = 0;      ///< simulations served from group caches
-};
-
 /// Execution options of run_plan (the grid identity — fingerprint, ids,
 /// sample values — never depends on them).
 struct RunPlanOptions {
@@ -234,7 +237,7 @@ struct RunPlanOptions {
   /// first delivery.  0 = auto (max(16, 4 × worker count)); any value >= 1
   /// is deadlock-free (the job at the window's base always proceeds).
   std::size_t window = 0;
-  /// Optional dedupe counters, accumulated across all groups under the
+  /// Optional execution counters, accumulated across all groups under the
   /// delivery lock (grouped path only).  Must outlive the run_plan call.
   RunPlanStats* stats = nullptr;
   /// Worker-thread override for the in-process executor; unset = use
@@ -261,6 +264,8 @@ class OnlineStatsSink final : public SweepSink {
  public:
   /// `plan` must outlive the sink (labels and series decoration).
   explicit OnlineStatsSink(const SweepPlan& plan);
+  /// The sink keeps a pointer to `plan`: a temporary would dangle.
+  explicit OnlineStatsSink(SweepPlan&& plan) = delete;
 
   void on_sample(const InstanceCoord& coord,
                  const SeriesSample& sample) override;

@@ -82,6 +82,9 @@ class Coordinator {
   /// or manifest failures.
   Coordinator(const SweepPlan& plan, SweepSink& sink,
               CoordinatorOptions options = {});
+  /// The coordinator keeps a pointer to `plan`: a temporary would dangle.
+  Coordinator(SweepPlan&& plan, SweepSink& sink,
+              CoordinatorOptions options = {}) = delete;
   ~Coordinator();
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;

@@ -132,7 +132,10 @@ class ScheduleSimulator {
   /// with its remaining queue (pending replicas are parked through the
   /// outage instead of dying).  The online run keeps its own copy of the
   /// dynamic placement state, so it interleaves freely with run()/
-  /// run_batch() on the same simulator (not concurrently).
+  /// run_batch() on the same simulator (not concurrently).  A move batch
+  /// that breaks the ReplicaMove contract (unknown task, replica or
+  /// processor, crashed target, non-pending replica, one replica moved
+  /// twice, bad duration) throws InvalidArgument naming the policy.
   [[nodiscard]] OnlineSummary run_online(const FailureTimeline& timeline,
                                          ReschedulePolicy* policy = nullptr);
 

@@ -47,11 +47,8 @@ ReplicatedSchedule heft_schedule(const CostModel& costs,
   const Platform& platform = costs.platform();
   const std::size_t m = platform.proc_count();
 
-  const auto rank = upward_ranks(costs);
-  std::vector<TaskId> order = g.tasks();
-  std::stable_sort(order.begin(), order.end(), [&rank](TaskId a, TaskId b) {
-    return rank[a.index()] > rank[b.index()];
-  });
+  // Descending upward rank (= bℓ), ties toward the lower task id.
+  const std::vector<TaskId> order = bottom_level_order(costs);
   // Upward ranks decrease along edges by construction, so this order is
   // topological; assert it in debug builds.
 #ifndef NDEBUG

@@ -209,7 +209,7 @@ std::vector<std::vector<std::size_t>> SweepPlan::group_selection() const {
 
 std::vector<SeriesSample> SweepPlan::evaluate_group(
     const std::vector<std::size_t>& members,
-    SimulationCache::Stats* stats) const {
+    RunPlanStats* stats) const {
   FTSCHED_REQUIRE(!members.empty(), "evaluate_group needs a non-empty group");
   const InstanceCoord first = coord(members.front());
   const std::uint64_t key = base_key(first);
@@ -250,13 +250,23 @@ std::vector<SeriesSample> SweepPlan::evaluate_group(
     // outcome depends on the policy, not just the draw).
     const ReschedulePolicyPtr policy =
         make_reschedule_policy(policy_labels_[c.policy]);
-    out.push_back(policy->is_noop()
-                      ? simulate_drawn_cell(schedules, draw, &sim_cache)
-                      : simulate_online_cell(schedules, draw, *policy));
+    if (policy->is_noop()) {
+      out.push_back(simulate_drawn_cell(schedules, draw, &sim_cache));
+      continue;
+    }
+    out.push_back(simulate_online_cell(schedules, draw, *policy));
+    if (stats != nullptr) {
+      // One run_online per algorithm; its move count is the Moves series.
+      for (const InstanceSchedules::Algo& a : schedules.algos) {
+        ++stats->online_runs;
+        stats->policy_moves +=
+            static_cast<std::uint64_t>(out.back().at(a.moves_series));
+      }
+    }
   }
   if (stats != nullptr) {
-    stats->simulations += sim_cache.stats().simulations;
-    stats->hits += sim_cache.stats().hits;
+    stats->simulations_run += sim_cache.stats().simulations;
+    stats->dedupe_hits += sim_cache.stats().hits;
   }
   return out;
 }
@@ -323,7 +333,7 @@ void run_plan(const SweepPlan& plan, SweepSink& sink,
       window_cv.wait(lock, [&] { return j < done_prefix + window; });
     }
     std::vector<SeriesSample> samples;
-    SimulationCache::Stats job_stats;
+    RunPlanStats job_stats;
     try {
       samples = options.group
                     ? plan.evaluate_group(jobs[j], &job_stats)
@@ -343,8 +353,10 @@ void run_plan(const SweepPlan& plan, SweepSink& sink,
     results[j] = std::move(samples);
     state[j] = 1;
     if (options.stats != nullptr) {
-      options.stats->simulations_run += job_stats.simulations;
-      options.stats->dedupe_hits += job_stats.hits;
+      options.stats->simulations_run += job_stats.simulations_run;
+      options.stats->dedupe_hits += job_stats.dedupe_hits;
+      options.stats->online_runs += job_stats.online_runs;
+      options.stats->policy_moves += job_stats.policy_moves;
     }
     while (done_prefix < job_count && state[done_prefix] != 0) ++done_prefix;
     window_cv.notify_all();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <string>
 
 #include "ftsched/core/reschedule.hpp"
 #include "ftsched/util/error.hpp"
@@ -451,34 +452,31 @@ class ScheduleSimulator::Impl {
     void pending_on(
         std::size_t p,
         std::vector<std::pair<TaskId, std::size_t>>& out) const override {
+      // A replica moved away and back sits both in p's queue and in its
+      // fill-in pool (and the pool may hold it twice): list it once.
+      const std::uint32_t seen = impl_.fresh_mark();
+      const auto list = [&](std::uint32_t flat) {
+        if (impl_.cur_proc_[flat] != p) return;  // moved away
+        if (impl_.state_[flat] != State::kPending) return;
+        if (impl_.mark_[flat] == seen) return;
+        impl_.mark_[flat] = seen;
+        const std::uint32_t t = impl_.task_of_[flat];
+        out.emplace_back(TaskId{t}, flat - impl_.offset_[t]);
+      };
       const auto& q = impl_.rt_queue_[p];
-      for (std::size_t i = impl_.rt_head_[p]; i < q.size(); ++i) {
-        const std::uint32_t flat = q[i];
-        if (impl_.cur_proc_[flat] != p) continue;  // moved away
-        if (impl_.state_[flat] != State::kPending) continue;
-        const std::uint32_t t = impl_.task_of_[flat];
-        out.emplace_back(TaskId{t}, flat - impl_.offset_[t]);
-      }
+      for (std::size_t i = impl_.rt_head_[p]; i < q.size(); ++i) list(q[i]);
       // Replicas moved *onto* p live in the fill-in pool, not the queue.
-      for (const std::uint32_t flat : impl_.moved_pool_[p]) {
-        if (impl_.cur_proc_[flat] != p) continue;  // moved on again
-        if (impl_.state_[flat] != State::kPending) continue;
-        const std::uint32_t t = impl_.task_of_[flat];
-        out.emplace_back(TaskId{t}, flat - impl_.offset_[t]);
-      }
+      for (const std::uint32_t flat : impl_.moved_pool_[p]) list(flat);
     }
-    [[nodiscard]] bool hosts_live_replica(TaskId t,
-                                          std::size_t p) const override {
+    void live_hosts(TaskId t, std::vector<std::size_t>& out) const override {
       for (std::size_t flat = impl_.offset_[t.index()];
            flat < impl_.offset_[t.index() + 1]; ++flat) {
-        if (impl_.cur_proc_[flat] != p) continue;
         const State s = impl_.state_[flat];
         if (s == State::kPending || s == State::kRunning ||
             s == State::kCompleted) {
-          return true;
+          out.push_back(impl_.cur_proc_[flat]);
         }
       }
-      return false;
     }
 
    private:
@@ -545,8 +543,18 @@ class ScheduleSimulator::Impl {
     running_.assign(m, kNoReplica);
     run_finish_.assign(m, 0.0);
     repair_at_.assign(m, kInf);
+    if (mark_.size() != cur_proc_.size()) mark_.assign(cur_proc_.size(), 0);
     moves_applied_ = 0;
     repairs_applied_ = 0;
+  }
+
+  /// A stamp no mark_ entry holds yet (entries are cleared on wrap-around).
+  std::uint32_t fresh_mark() const {
+    if (++mark_stamp_ == 0) {
+      std::fill(mark_.begin(), mark_.end(), 0u);
+      mark_stamp_ = 1;
+    }
+    return mark_stamp_;
   }
 
   /// try_start against the *runtime* queue: entries that moved away are
@@ -669,7 +677,7 @@ class ScheduleSimulator::Impl {
       const ViewAdapter view(*this);
       policy->on_event(view, OnlineEvent{OnlineEvent::Kind::kCrash, p, now},
                        moves_scratch_);
-      apply_moves(now);
+      apply_moves(*policy, now);
     }
     if (!will_repair) {
       // Permanent crash: every pending replica still on p dies in queue
@@ -705,30 +713,41 @@ class ScheduleSimulator::Impl {
       const ViewAdapter view(*this);
       policy->on_event(view, OnlineEvent{OnlineEvent::Kind::kRepair, p, now},
                        moves_scratch_);
-      apply_moves(now);
+      apply_moves(*policy, now);
     }
     try_start_online(p, now);
   }
 
   /// Applies the policy's moves in emitted order, then wakes the affected
-  /// processors.  Structural violations (unknown replica, dead target,
-  /// non-pending replica) are policy bugs and fail loudly.
-  void apply_moves(double now) {
+  /// processors.  A move that breaks the ReplicaMove contract (unknown
+  /// task, replica or processor, crashed target, non-pending replica, the
+  /// same replica twice in one batch, bad duration) is a policy bug and
+  /// fails loudly, naming the policy and the move.
+  void apply_moves(const ReschedulePolicy& policy, double now) {
+    const std::uint32_t batch = fresh_mark();
     for (const ReplicaMove& mv : moves_scratch_) {
-      FTSCHED_REQUIRE(mv.task.index() < g_.task_count(),
-                      "policy move: unknown task");
+      const auto bad = [&](const char* why) {
+        return "policy '" + policy.spec() + "': move of task " +
+               std::to_string(mv.task.index()) + " replica " +
+               std::to_string(mv.replica) + " to processor " +
+               std::to_string(mv.to.index()) + ": " + why;
+      };
+      FTSCHED_REQUIRE(mv.task.index() < g_.task_count(), bad("unknown task"));
       const std::size_t count =
           offset_[mv.task.index() + 1] - offset_[mv.task.index()];
-      FTSCHED_REQUIRE(mv.replica < count, "policy move: unknown replica");
+      FTSCHED_REQUIRE(mv.replica < count, bad("unknown replica"));
       const std::uint32_t flat =
           static_cast<std::uint32_t>(offset_[mv.task.index()] + mv.replica);
       const std::size_t to = mv.to.index();
-      FTSCHED_REQUIRE(to < crashed_.size(), "policy move: unknown processor");
-      FTSCHED_REQUIRE(crashed_[to] == 0, "policy move: target is crashed");
+      FTSCHED_REQUIRE(to < crashed_.size(), bad("unknown processor"));
+      FTSCHED_REQUIRE(crashed_[to] == 0, bad("target is crashed"));
       FTSCHED_REQUIRE(state_[flat] == State::kPending,
-                      "policy move: replica is not pending");
+                      bad("replica is not pending"));
+      FTSCHED_REQUIRE(mark_[flat] != batch,
+                      bad("replica moved twice in one batch"));
+      mark_[flat] = batch;
       FTSCHED_REQUIRE(std::isfinite(mv.duration) && mv.duration >= 0.0,
-                      "policy move: duration must be finite and >= 0");
+                      bad("duration must be finite and >= 0"));
       if (cur_proc_[flat] == to) continue;  // staying put: not a move
       cur_proc_[flat] = static_cast<std::uint32_t>(to);
       cur_duration_[flat] = mv.duration;
@@ -889,6 +908,10 @@ class ScheduleSimulator::Impl {
   std::vector<double> run_finish_;      ///< per proc: running finish time
   std::vector<double> repair_at_;       ///< per proc: scheduled repair time
   std::vector<ReplicaMove> moves_scratch_;
+  /// Per flat replica: "seen in the current sweep" when equal to the
+  /// latest fresh_mark() (pending_on's listing, apply_moves' batch).
+  mutable std::vector<std::uint32_t> mark_;
+  mutable std::uint32_t mark_stamp_ = 0;
   std::size_t moves_applied_ = 0;
   std::size_t repairs_applied_ = 0;
 };

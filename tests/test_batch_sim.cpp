@@ -205,7 +205,7 @@ TEST(BatchSim, EvaluateGroupStatsCountDedupedSimulations) {
                            "bernoulli:p=0.5"};
   const SweepPlan plan(config);
 
-  SimulationCache::Stats stats;
+  RunPlanStats stats;
   for (const auto& group : plan.group_selection()) {
     const std::vector<SeriesSample> grouped =
         plan.evaluate_group(group, &stats);
@@ -215,8 +215,8 @@ TEST(BatchSim, EvaluateGroupStatsCountDedupedSimulations) {
           << "member " << i << " diverged from the per-coordinate path";
     }
   }
-  EXPECT_GT(stats.simulations, 0u);
-  EXPECT_GT(stats.hits, 0u);
+  EXPECT_GT(stats.simulations_run, 0u);
+  EXPECT_GT(stats.dedupe_hits, 0u);
 
   // The same counters surface through run_plan's options.
   RunPlanStats run_stats;
@@ -233,8 +233,8 @@ TEST(BatchSim, EvaluateGroupStatsCountDedupedSimulations) {
   SweepResult ungrouped = ungrouped_sink.take();
 
   EXPECT_TRUE(sweep_results_identical(grouped, ungrouped));
-  EXPECT_EQ(run_stats.simulations_run, stats.simulations);
-  EXPECT_EQ(run_stats.dedupe_hits, stats.hits);
+  EXPECT_EQ(run_stats.simulations_run, stats.simulations_run);
+  EXPECT_EQ(run_stats.dedupe_hits, stats.dedupe_hits);
 }
 
 }  // namespace

@@ -8,6 +8,10 @@
 // serialized as exact hex-floats.  Any change to a double anywhere in the
 // pipeline fails this test instead of silently shifting figures.
 //
+// A second golden pins the online path the same way: the exact shard
+// records of a small policy grid, so a change to what `requeue-heft` or
+// `reactive-ftsa` places (not just to how fast it places it) fails here.
+//
 // Regenerate after an *intentional* change with:
 //   FTSCHED_UPDATE_GOLDEN=1 ./test_golden_sweep
 // and commit the diff (review it — that diff IS the behavior change).
@@ -17,6 +21,8 @@
 #include <string>
 
 #include "ftsched/experiments/runner.hpp"
+#include "ftsched/experiments/sweep_io.hpp"
+#include "ftsched/experiments/sweep_plan.hpp"
 #include "ftsched/util/stats.hpp"
 #include "golden_test.hpp"
 
@@ -29,6 +35,8 @@ namespace {
 
 const char* kGoldenPath =
     FTSCHED_SOURCE_DIR "/tests/golden/fig1_sweep_cell.txt";
+const char* kPolicyGoldenPath =
+    FTSCHED_SOURCE_DIR "/tests/golden/policy_grid_shard.jsonl";
 
 /// A shrunken Figure-1 cell: the figure's epsilon and series layout, a
 /// small platform and instance count so the test stays fast.  Built
@@ -70,6 +78,40 @@ TEST(GoldenSweep, Figure1CellMatchesCommittedGolden) {
   goldentest::expect_matches_golden(kGoldenPath,
                                     render_golden(golden_config()),
                                     "Figure-1 sweep cell");
+}
+
+/// 3 scenarios x 3 failure laws (one repair-free, two with repairs) x 3
+/// policies on one granularity point: 27 instances, every reactive cell of
+/// which moves replicas.  The records are those of
+///   ftsched_cli sweep --procs 8 --graphs 1 --granularities 1.0 --seed 7
+///     --scenario "t0;frac:f=0.5;uniform:hi=1" --failures "bernoulli:p=0.3;
+///     repair:p=0.3,mttr=0.5;burst:p=0.4,width=0.2,mttr=0.3"
+///     --policy "none;requeue-heft;reactive-ftsa" --shard 0/1
+/// (whose header labels the shard "0/1" instead of "full").
+FigureConfig policy_golden_config() {
+  FigureConfig config;
+  config.figure = 1;
+  config.epsilon = 1;
+  config.proc_count = 8;
+  config.graphs_per_point = 1;
+  config.seed = 7;
+  config.granularities = {1.0};
+  config.threads = 2;
+  config.workload.proc_count = 8;
+  config.scenarios = {"t0", "frac:f=0.5", "uniform:hi=1"};
+  config.failure_models = {"bernoulli:p=0.3", "repair:p=0.3,mttr=0.5",
+                           "burst:p=0.4,width=0.2,mttr=0.3"};
+  config.policies = {"none", "requeue-heft", "reactive-ftsa"};
+  return config;
+}
+
+TEST(GoldenSweep, PolicyGridShardRecordsMatchCommittedGolden) {
+  const SweepPlan plan(policy_golden_config());
+  std::ostringstream out;
+  ShardWriterSink sink(out, plan);
+  run_plan(plan, sink);
+  goldentest::expect_matches_golden(kPolicyGoldenPath, out.str(),
+                                    "Policy-grid shard records");
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 // "pol" record field) as an implicit `none` column.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <limits>
@@ -301,6 +302,243 @@ TEST(OnlinePolicy, RepairDomainBeyondProcCountIsRejected) {
   FigureConfig config = policy_grid_config();
   config.failure_models = {"repair:p=0.2,mttr=0.5,domain=8"};
   EXPECT_THROW((void)SweepPlan(config), InvalidArgument);
+}
+
+/// Records every delivered sample.
+class CollectSink final : public SweepSink {
+ public:
+  void on_sample(const InstanceCoord& coord,
+                 const SeriesSample& sample) override {
+    samples.emplace_back(coord, sample);
+  }
+  std::vector<std::pair<InstanceCoord, SeriesSample>> samples;
+};
+
+TEST(OnlinePolicy, RunPlanStatsCountOnlineRunsAndMoves) {
+  // Static and online simulations are counted apart: simulations_run and
+  // dedupe_hits stay the static (`none`) counters, online_runs counts one
+  // run_online per (non-`none` cell, algorithm) and policy_moves sums the
+  // cells' Moves series.
+  const SweepPlan plan(policy_grid_config());
+  RunPlanStats stats;
+  CollectSink sink;
+  run_plan(plan, sink, RunPlanOptions{.stats = &stats});
+
+  const std::size_t algorithms =
+      default_instance_algos(InstanceOptions{}).size();
+  std::uint64_t online_cells = 0;
+  double moves = 0.0;
+  for (const auto& [coord, sample] : sink.samples) {
+    if (plan.policies()[coord.policy] == "none") continue;
+    ++online_cells;
+    for (const auto& [name, value] : sample) {
+      if (name.ends_with("-Moves")) moves += value;
+    }
+  }
+  EXPECT_EQ(online_cells, 2u * plan.size() / 3u);
+  EXPECT_EQ(stats.online_runs, online_cells * algorithms);
+  EXPECT_EQ(stats.policy_moves, static_cast<std::uint64_t>(moves));
+  EXPECT_GT(stats.policy_moves, 0u);
+
+  // The static counters are those of the `none` column alone.
+  FigureConfig none_config = policy_grid_config();
+  none_config.policies = {"none"};
+  const SweepPlan none_plan(none_config);
+  RunPlanStats none_stats;
+  CollectSink none_sink;
+  run_plan(none_plan, none_sink, RunPlanOptions{.stats = &none_stats});
+  EXPECT_EQ(stats.simulations_run, none_stats.simulations_run);
+  EXPECT_EQ(stats.dedupe_hits, none_stats.dedupe_hits);
+  EXPECT_EQ(none_stats.online_runs, 0u);
+  EXPECT_EQ(none_stats.policy_moves, 0u);
+}
+
+/// A policy that answers the first crash with one contract-breaking move.
+class RoguePolicy final : public ReschedulePolicy {
+ public:
+  enum class Fault {
+    kUnknownTask,
+    kUnknownProcessor,
+    kCrashedTarget,
+    kNotPending,
+    kTwice
+  };
+  explicit RoguePolicy(Fault fault) : fault_(fault) {}
+
+  [[nodiscard]] std::string spec() const override { return "rogue"; }
+  void prepare(const ReplicatedSchedule& schedule) override {
+    schedule_ = &schedule;
+  }
+  void begin_run() override { fired_ = false; }
+
+  void on_event(const OnlineView& view, const OnlineEvent& event,
+                std::vector<ReplicaMove>& moves) override {
+    if (event.kind != OnlineEvent::Kind::kCrash || fired_) return;
+    fired_ = true;
+    const std::size_t m = view.proc_count();
+    std::vector<std::pair<TaskId, std::size_t>> pending;
+    for (std::size_t p = 0; p < m; ++p) view.pending_on(p, pending);
+    ASSERT_FALSE(pending.empty());
+    const auto [t, r] = pending.front();
+    // Two live processors other than the replica's current host.
+    std::vector<std::size_t> live;
+    for (std::size_t p = 0; p < m; ++p) {
+      if (view.alive(p) && p != view.proc_of(t, r)) live.push_back(p);
+    }
+    ASSERT_GE(live.size(), 2u);
+    switch (fault_) {
+      case Fault::kUnknownTask:
+        moves.push_back({TaskId{schedule_->graph().task_count()}, 0,
+                         ProcId{live[0]}, 1.0});
+        break;
+      case Fault::kUnknownProcessor:
+        moves.push_back({t, r, ProcId{m}, 1.0});
+        break;
+      case Fault::kCrashedTarget:
+        moves.push_back({t, r, ProcId{event.proc}, 1.0});
+        break;
+      case Fault::kNotPending:
+        for (const TaskId u : schedule_->graph().tasks()) {
+          for (std::size_t k = 0; k < schedule_->replicas(u).size(); ++k) {
+            if (!view.pending(u, k)) {
+              moves.push_back({u, k, ProcId{live[0]}, 1.0});
+              return;
+            }
+          }
+        }
+        FAIL() << "no started replica at the first crash";
+        break;
+      case Fault::kTwice:
+        moves.push_back({t, r, ProcId{live[0]}, 1.0});
+        moves.push_back({t, r, ProcId{live[1]}, 1.0});
+        break;
+    }
+  }
+
+ private:
+  Fault fault_;
+  const ReplicatedSchedule* schedule_ = nullptr;
+  bool fired_ = false;
+};
+
+/// Moves one late pending replica away from its processor on the first
+/// event and back on the second, then records how often the third
+/// event's pending_on lists it.
+class PingPongPolicy final : public ReschedulePolicy {
+ public:
+  [[nodiscard]] std::string spec() const override { return "ping-pong"; }
+  void prepare(const ReplicatedSchedule& schedule) override {
+    schedule_ = &schedule;
+  }
+  void begin_run() override { events_ = 0; }
+
+  void on_event(const OnlineView& view, const OnlineEvent&,
+                std::vector<ReplicaMove>& moves) override {
+    const std::size_t m = view.proc_count();
+    std::vector<std::pair<TaskId, std::size_t>> pending;
+    switch (events_++) {
+      case 0:
+        // The last queued replica of the first live processor that has
+        // one, moved to another live processor.
+        for (home_ = 0; home_ < m && pending.empty(); ++home_) {
+          if (view.alive(home_)) view.pending_on(home_, pending);
+        }
+        ASSERT_FALSE(pending.empty());
+        --home_;
+        replica_ = pending.back();
+        for (std::size_t p = m; p-- > 0;) {
+          if (view.alive(p) && p != home_) {
+            moves.push_back(move_to(p));
+            return;
+          }
+        }
+        FAIL() << "no second live processor";
+        break;
+      case 1:
+        ASSERT_TRUE(view.pending(replica_.first, replica_.second));
+        moves.push_back(move_to(home_));
+        break;
+      case 2:
+        view.pending_on(home_, pending);
+        listed = static_cast<std::size_t>(
+            std::count(pending.begin(), pending.end(), replica_));
+        break;
+      default:
+        break;
+    }
+  }
+
+  std::size_t listed = 0;
+
+ private:
+  ReplicaMove move_to(std::size_t p) const {
+    return {replica_.first, replica_.second, ProcId{p},
+            schedule_->costs().exec(replica_.first, ProcId{p})};
+  }
+
+  const ReplicatedSchedule* schedule_ = nullptr;
+  std::size_t events_ = 0;
+  std::size_t home_ = 0;
+  std::pair<TaskId, std::size_t> replica_;
+};
+
+TEST(OnlinePolicy, PendingOnListsAReplicaMovedAwayAndBackOnce) {
+  // Back on its processor, the replica sits both in that processor's
+  // queue and in its fill-in pool; the view must still list it once, or a
+  // policy places it twice.
+  Rng rng(77);
+  const auto w = random_workload(rng, 6, 30);
+  const auto s = ftsa_schedule(w->costs(), FtsaOptions{1, 0});
+  ScheduleSimulator sim(s);
+  const double lb = s.lower_bound();
+  FailureTimeline timeline;
+  timeline.add(ProcId{5}, 0.02 * lb, 0.04 * lb);  // events 0 and 1
+  timeline.add(ProcId{4}, 0.06 * lb);             // event 2
+  PingPongPolicy policy;
+  policy.prepare(s);
+  (void)sim.run_online(timeline, &policy);
+  EXPECT_EQ(policy.listed, 1u);
+}
+
+TEST(OnlinePolicy, RunOnlineRejectsContractBreakingMoves) {
+  Rng rng(2024);
+  const auto w = random_workload(rng, 6, 30);
+  const auto s = ftsa_schedule(w->costs(), FtsaOptions{1, 0});
+  ScheduleSimulator sim(s);
+  // Processor 0 crashes halfway through the fault-free makespan, when some
+  // replicas have started and others are still pending.
+  FailureTimeline timeline;
+  timeline.add(ProcId{0}, 0.5 * s.lower_bound(), s.lower_bound());
+
+  using Fault = RoguePolicy::Fault;
+  const std::pair<Fault, const char*> cases[] = {
+      {Fault::kUnknownTask, "unknown task"},
+      {Fault::kUnknownProcessor, "unknown processor"},
+      {Fault::kCrashedTarget, "target is crashed"},
+      {Fault::kNotPending, "replica is not pending"},
+      {Fault::kTwice, "replica moved twice in one batch"},
+  };
+  for (const auto& [fault, why] : cases) {
+    RoguePolicy rogue(fault);
+    rogue.prepare(s);
+    try {
+      (void)sim.run_online(timeline, &rogue);
+      ADD_FAILURE() << "run_online accepted a move with: " << why;
+    } catch (const InvalidArgument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("policy 'rogue': move of task"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find(why), std::string::npos) << what;
+    }
+  }
+
+  // The simulator stays usable after a rejected batch, and the built-in
+  // policies keep the contract on the same timeline.
+  for (const std::string& name : PolicyRegistry::global().names()) {
+    const ReschedulePolicyPtr policy = make_reschedule_policy(name);
+    policy->prepare(s);
+    EXPECT_NO_THROW((void)sim.run_online(timeline, policy.get())) << name;
+  }
 }
 
 }  // namespace

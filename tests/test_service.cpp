@@ -20,6 +20,7 @@
 #include <filesystem>
 #include <fstream>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "ftsched/experiments/backend.hpp"
@@ -124,6 +125,16 @@ class ServiceTest : public ::testing::Test {
 
   std::filesystem::path dir_;
 };
+
+TEST(Coordinator, RefusesTemporaryPlans) {
+  // The coordinator keeps a pointer to its plan: a temporary would dangle.
+  static_assert(
+      std::is_constructible_v<Coordinator, const SweepPlan&, SweepSink&>);
+  static_assert(!std::is_constructible_v<Coordinator, SweepPlan&&, SweepSink&>);
+  static_assert(!std::is_constructible_v<Coordinator, SweepPlan, SweepSink&,
+                                         CoordinatorOptions>);
+  SUCCEED();
+}
 
 // ------------------------------------------------------- loopback identity
 

@@ -8,6 +8,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "ftsched/experiments/sweep_io.hpp"
@@ -158,6 +159,21 @@ TEST(SweepPlan, ShardWriterEmitsSingletonRecords) {
     EXPECT_EQ(r.stats.max(), r.stats.mean());
     EXPECT_LT(r.coord.id, plan.grid_size());
   }
+}
+
+TEST(SweepPlan, SinksRefuseTemporaryPlans) {
+  // The sinks keep a pointer to their plan: binding one to a temporary
+  // (`ShardWriterSink sink(os, plan.shard(i, n))`) is a compile error.
+  static_assert(
+      std::is_constructible_v<ShardWriterSink, std::ostream&, const SweepPlan&>);
+  static_assert(
+      !std::is_constructible_v<ShardWriterSink, std::ostream&, SweepPlan&&>);
+  static_assert(!std::is_constructible_v<ShardWriterSink, std::ostream&,
+                                         SweepPlan>);
+  static_assert(std::is_constructible_v<OnlineStatsSink, const SweepPlan&>);
+  static_assert(!std::is_constructible_v<OnlineStatsSink, SweepPlan&&>);
+  static_assert(!std::is_constructible_v<OnlineStatsSink, SweepPlan>);
+  SUCCEED();
 }
 
 TEST(SweepPlan, HeaderFingerprintMatchesPlan) {

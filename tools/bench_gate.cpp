@@ -15,6 +15,9 @@
 //    counters are deterministic for a fixed grid whatever the thread count
 //    or machine, so any drift means the dedupe or draw logic changed;
 //    dedupe_hits must also be positive (the cache must actually fire);
+//  * the policy row (policy_* keys: a 3-policy grid) must describe the same
+//    grid, be bit-identical too, and match its online_runs / moves /
+//    static counters exactly — they are as deterministic as the above;
 //  * the grouped-vs-ungrouped speedup — a wall-time *ratio*, so largely
 //    machine-independent — must be at least `min_speedup_ratio` (default
 //    0.5) of the baseline's: a halved speedup on a quiet runner is a real
@@ -160,7 +163,9 @@ int main(int argc, char** argv) {
   // Same grid, or the comparison is meaningless.
   for (const char* key : {"bench", "figure", "workloads", "scenarios",
                           "failures", "granularities", "graphs_per_point",
-                          "instances", "seed"}) {
+                          "instances", "seed", "policy_policies",
+                          "policy_failures", "policy_scenarios",
+                          "policy_instances"}) {
     const std::string& got = field(fresh, key, fresh_path);
     const std::string& want = field(base, key, base_path);
     if (got != want) {
@@ -174,9 +179,14 @@ int main(int argc, char** argv) {
   if (field(fresh, "identical", fresh_path) != "true") {
     flag("grouped sweep diverged from the ungrouped path");
   }
+  if (field(fresh, "policy_identical", fresh_path) != "true") {
+    flag("grouped policy sweep diverged from the ungrouped path");
+  }
 
   // Deterministic counters: exact match, any drift is a logic change.
-  for (const char* key : {"simulations_run", "dedupe_hits"}) {
+  for (const char* key :
+       {"simulations_run", "dedupe_hits", "policy_online_runs",
+        "policy_moves", "policy_simulations_run", "policy_dedupe_hits"}) {
     const std::string& got = field(fresh, key, fresh_path);
     const std::string& want = field(base, key, base_path);
     if (got != want) {
@@ -205,6 +215,8 @@ int main(int argc, char** argv) {
             << "x (baseline " << base_speedup << "x, floor " << floor
             << "x), simulations_run=" << field(fresh, "simulations_run", fresh_path)
             << ", dedupe_hits=" << field(fresh, "dedupe_hits", fresh_path)
+            << ", policy_online_runs="
+            << field(fresh, "policy_online_runs", fresh_path)
             << ", bit-identical\n";
   return 0;
 }
