@@ -3,15 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 #include <tuple>
 
+#include "ftsched/core/ftbar.hpp"
 #include "ftsched/core/ftsa.hpp"
 #include "ftsched/core/mc_ftsa.hpp"
 #include "ftsched/platform/failure.hpp"
 #include "ftsched/sim/event_sim.hpp"
 #include "ftsched/sim/trace.hpp"
+#include "ftsched/util/stats.hpp"
 #include "ftsched/workload/classic.hpp"
 #include "ftsched/workload/paper_workload.hpp"
+#include "golden_test.hpp"
 
 namespace ftsched {
 namespace {
@@ -220,6 +224,115 @@ TEST(Trace, GanttAndListingRender) {
   const SimulationResult r = simulate(s, scenario);
   const std::string egantt = execution_gantt(s, r);
   EXPECT_NE(egantt.find("lost replicas"), std::string::npos);
+}
+
+// ---------------------------------------------------------------- golden
+
+// Pins full run() outcomes hex-exact: success, latency, the four counters
+// and every replica's status/start/finish, for FTSA, MC-FTSA and FTBAR under
+// every comm model and four crash sets — at t=0, mid-run, several
+// processors at one instant (more than ε, so cancellations cascade), and a
+// crash at a replica's exact finish time (the finish sorts first, so the
+// replica completes).  Regenerate with
+//   FTSCHED_UPDATE_GOLDEN=1 ./test_sim --gtest_filter=SimGolden.*
+constexpr const char* kSimGoldenPath =
+    FTSCHED_SOURCE_DIR "/tests/golden/sim_outcomes.txt";
+
+void render_outcome(std::ostringstream& out, const SimulationResult& r) {
+  out << "success=" << r.success << " latency=" << double_to_hex(r.latency)
+      << " completed=" << r.completed_replicas << " dead=" << r.dead_replicas
+      << " cancelled=" << r.cancelled_replicas
+      << " messages=" << r.messages_delivered << '\n';
+  for (std::size_t t = 0; t < r.outcomes.size(); ++t) {
+    out << 't' << t;
+    for (const ReplicaOutcome& o : r.outcomes[t]) {
+      switch (o.status) {
+        case ReplicaStatus::kCompleted:
+          out << " C:" << double_to_hex(o.start) << ':'
+              << double_to_hex(o.finish);
+          break;
+        case ReplicaStatus::kDead:
+          out << " D:" << double_to_hex(o.start);
+          break;
+        case ReplicaStatus::kCancelled:
+          out << " X";
+          break;
+        case ReplicaStatus::kNotStarted:
+          out << " N";
+          break;
+      }
+    }
+    out << '\n';
+  }
+}
+
+std::string render_sim_golden() {
+  std::ostringstream out;
+  constexpr std::size_t kProcs = 6;
+  constexpr std::size_t kEps = 2;
+  for (const std::uint64_t seed : {31u, 32u}) {
+    const auto w = small_workload(seed, kProcs, /*tasks=*/20);
+    const std::pair<const char*, ReplicatedSchedule> schedules[] = {
+        {"ftsa", ftsa_schedule(w->costs(), FtsaOptions{kEps, seed})},
+        {"mc-ftsa", mc_ftsa_schedule(w->costs(), McFtsaOptions{kEps, seed})},
+        {"ftbar", ftbar_schedule(w->costs(), FtbarOptions{kEps, seed})}};
+    const std::pair<const char*, CommModelKind> comms[] = {
+        {"free", CommModelKind::kContentionFree},
+        {"oneport", CommModelKind::kOnePort},
+        {"multiport:ports=2", CommModelKind::kBoundedMultiPort}};
+    for (const auto& [algo, s] : schedules) {
+      for (const auto& [comm, kind] : comms) {
+        SimulationOptions options;
+        options.comm.kind = kind;
+        options.comm.ports = 2;
+        ScheduleSimulator sim(s, options);
+        const SimulationResult clean = sim.run();
+        const double span = clean.latency;
+
+        // The first replica of the middle task: crash its processor at the
+        // exact instant it finishes in the failure-free run.
+        const TaskId mid{s.graph().task_count() / 2};
+        const ProcId mid_proc = s.replicas(mid)[0].proc;
+        const double mid_finish = clean.outcomes[mid.index()][0].finish;
+
+        FailureScenario at_zero;
+        at_zero.add(ProcId{0u}, 0.0);
+        at_zero.add(ProcId{3u}, 0.0);
+        FailureScenario mid_run;
+        mid_run.add(ProcId{1u}, 0.3 * span);
+        mid_run.add(ProcId{4u}, 0.6 * span);
+        FailureScenario one_instant;
+        for (const std::size_t p : {1u, 2u, 5u}) {
+          one_instant.add(ProcId{p}, 0.5 * span);
+        }
+        FailureScenario at_finish;
+        at_finish.add(mid_proc, mid_finish);
+        at_finish.add(ProcId{(mid_proc.index() + 1) % kProcs}, mid_finish);
+
+        const std::pair<const char*, const FailureScenario*> sets[] = {
+            {"none", nullptr},
+            {"t0", &at_zero},
+            {"mid-run", &mid_run},
+            {"one-instant", &one_instant},
+            {"at-finish", &at_finish}};
+        for (const auto& [name, scenario] : sets) {
+          out << "# seed=" << seed << " algo=" << algo << " comm=" << comm
+              << " crashes=" << name << '\n';
+          render_outcome(out, scenario == nullptr ? clean : sim.run(*scenario));
+        }
+        // The exact-finish replica must have completed.
+        EXPECT_EQ(sim.run(at_finish).outcomes[mid.index()][0].status,
+                  ReplicaStatus::kCompleted)
+            << algo << " " << comm;
+      }
+    }
+  }
+  return out.str();
+}
+
+TEST(SimGolden, RunOutcomesMatchCommittedGolden) {
+  goldentest::expect_matches_golden(kSimGoldenPath, render_sim_golden(),
+                                    "run() outcomes");
 }
 
 }  // namespace
