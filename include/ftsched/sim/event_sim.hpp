@@ -72,6 +72,11 @@ struct SimulationOptions {
 /// counts, sweep cells) skips the per-call rebuild the one-shot simulate()
 /// pays.  run() is bit-identical to simulate() with the same arguments.
 ///
+/// Every entry point — run(), run_summary(), run_batch() and run_online() —
+/// drives one event loop with one set of handlers.  A static run is the
+/// online run with no policy and no repairs, so nothing can move a replica
+/// and the two semantics cannot drift apart.
+///
 /// All dynamic state is structure-of-arrays: flat parallel arrays indexed
 /// by a build-once replica numbering (status bytes, in-edge satisfaction
 /// flags and live-source counts in one contiguous slot arena, start/finish
@@ -130,9 +135,10 @@ class ScheduleSimulator {
   /// semantics exactly — same event ordering, same doubles as run() —
   /// *when the timeline has no repairs*; repairs restart the processor
   /// with its remaining queue (pending replicas are parked through the
-  /// outage instead of dying).  The online run keeps its own copy of the
-  /// dynamic placement state, so it interleaves freely with run()/
-  /// run_batch() on the same simulator (not concurrently).  A move batch
+  /// outage instead of dying).  It shares the event kernel with run()/
+  /// run_batch(), and every run starts by resetting that kernel (moves of
+  /// the previous run included), so the calls interleave freely on the
+  /// same simulator (not concurrently).  A move batch
   /// that breaks the ReplicaMove contract (unknown task, replica or
   /// processor, crashed target, non-pending replica, one replica moved
   /// twice, bad duration) throws InvalidArgument naming the policy.

@@ -23,9 +23,9 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // kRepair sorts after kCrash at equal time: a processor that crashes and
-// restarts at the same instant still loses its running replica.  The static
-// path never pushes repair events, so the order of the first three is
-// untouched.
+// restarts at the same instant still loses its running replica.  Repairs
+// come only from failure timelines, so a crash-only run orders its events by
+// the first three alone.
 enum class EventType : std::uint8_t {
   kFinish = 0,
   kMessage = 1,
@@ -64,9 +64,9 @@ struct OutChannel {
   std::uint32_t dst;     // flat destination replica
   std::uint32_t slot;    // flat in-slot of the destination (slot arena index)
   double comm_duration;  // volume * delay (0 for intra-processor)
-  double volume;         // edge volume: the online mode recomputes the
-                         // duration from the *current* processors (the same
-                         // multiplication, so unmoved channels match
+  double volume;         // edge volume: after a policy move the duration is
+                         // recomputed from the *current* processors (the
+                         // same multiplication, so unmoved channels match
                          // comm_duration bit for bit)
   bool interproc;
 };
@@ -78,15 +78,20 @@ constexpr std::uint32_t kNoReplica = std::numeric_limits<std::uint32_t>::max();
 /// The simulator split along the static/dynamic line: everything derived
 /// from the schedule alone is computed once at construction (flat replica
 /// arrays, CSR out-channel and per-processor queues, pristine copies of the
-/// countdown arrays); run() resets only the per-scenario state with
+/// countdown arrays); each run resets only the per-scenario state with
 /// fill/copy sweeps over flat arrays — structure-of-arrays, no per-node
 /// touches, no allocation in steady state — and replays the event loop on
 /// an arena-backed binary heap whose storage is retained across runs.
+///
+/// Every entry point runs the same event loop and the same handlers.  A
+/// static run is an online run with no policy, no repairs and an empty
+/// fill-in pool: the handlers then execute the static arithmetic in the
+/// static order, which is what the `policy=none` bit-identity property
+/// pins down.
 class ScheduleSimulator::Impl {
  public:
   Impl(const ReplicatedSchedule& schedule, const SimulationOptions& options)
       : schedule_(schedule),
-        options_(options),
         g_(schedule.graph()),
         platform_(schedule.platform()),
         contention_free_(options.comm.kind == CommModelKind::kContentionFree),
@@ -95,12 +100,12 @@ class ScheduleSimulator::Impl {
   }
 
   SimulationResult run(const FailureScenario& failures) {
-    drive(failures);
+    drive(failures.crashes(), {}, nullptr);
     return collect();
   }
 
   ScheduleSimulator::Summary run_summary(const FailureScenario& failures) {
-    drive(failures);
+    drive(failures.crashes(), {}, nullptr);
     return summarize();
   }
 
@@ -109,14 +114,18 @@ class ScheduleSimulator::Impl {
     FTSCHED_REQUIRE(summaries.size() >= scenarios.size(),
                     "run_batch: summary span shorter than the scenario span");
     for (std::size_t i = 0; i < scenarios.size(); ++i) {
-      drive(scenarios[i]);
+      drive(scenarios[i].crashes(), {}, nullptr);
       summaries[i] = summarize();
     }
   }
 
   ScheduleSimulator::OnlineSummary run_online(const FailureTimeline& timeline,
                                               ReschedulePolicy* policy) {
-    drive_online(timeline, policy);
+    if (policy != nullptr) policy->begin_run();
+    // A no-op policy is never consulted: the handlers then run the static
+    // code paths verbatim (no view construction, no move application).
+    drive({}, timeline.outages(),
+          (policy == nullptr || policy->is_noop()) ? nullptr : policy);
     ScheduleSimulator::OnlineSummary s;
     const ScheduleSimulator::Summary base = summarize();
     s.success = base.success;
@@ -127,9 +136,23 @@ class ScheduleSimulator::Impl {
   }
 
  private:
-  void drive(const FailureScenario& failures) {
+  void drive(std::span<const Crash> crashes,
+             std::span<const ProcOutage> outages, ReschedulePolicy* policy) {
     reset();
-    seed(failures);
+    for (const Crash& c : crashes) push_crash(c.proc, c.time);
+    for (const ProcOutage& o : outages) {
+      push_crash(o.proc, o.crash_time);
+      if (o.repair_time < kInf) {
+        repair_at_[o.proc.index()] = o.repair_time;
+        push(Event{o.repair_time, seq_++,
+                   static_cast<std::uint32_t>(o.proc.index()), 0,
+                   EventType::kRepair});
+      }
+    }
+    const std::size_t m = platform_.proc_count();
+    for (std::size_t p = 0; p < m; ++p) {
+      try_start(p, 0.0);
+    }
     while (!events_.empty()) {
       const Event ev = pop();
       switch (ev.type) {
@@ -140,10 +163,10 @@ class ScheduleSimulator::Impl {
           on_message(ev.a, ev.b, ev.time);
           break;
         case EventType::kCrash:
-          on_crash(ev.a, ev.time);
+          on_crash(ev.a, ev.time, policy);
           break;
         case EventType::kRepair:
-          FTSCHED_ASSERT(false, "repair event in a static run");
+          on_repair(ev.a, ev.time, policy);
           break;
       }
     }
@@ -160,7 +183,7 @@ class ScheduleSimulator::Impl {
     const std::size_t total = offset_[v];
     proc_of_.resize(total);
     duration_.resize(total);
-    sched_start_.resize(total);
+    std::vector<double> sched_start(total);
     task_of_.resize(total);
     for (std::size_t t = 0; t < v; ++t) {
       for (std::size_t flat = offset_[t]; flat < offset_[t + 1]; ++flat) {
@@ -185,7 +208,7 @@ class ScheduleSimulator::Impl {
         const std::size_t flat = offset_[t.index()] + k;
         proc_of_[flat] = static_cast<std::uint32_t>(reps[k].proc.index());
         duration_[flat] = reps[k].finish - reps[k].start;
-        sched_start_[flat] = reps[k].start;
+        sched_start[flat] = reps[k].start;
         in_offset_[flat + 1] = in.size();
         unsatisfied0_[flat] = static_cast<std::uint32_t>(in.size());
       }
@@ -244,9 +267,9 @@ class ScheduleSimulator::Impl {
     for (std::size_t p = 0; p < m; ++p) {
       std::sort(queue_.begin() + static_cast<std::ptrdiff_t>(queue_offset_[p]),
                 queue_.begin() + static_cast<std::ptrdiff_t>(queue_offset_[p + 1]),
-                [this](std::uint32_t a, std::uint32_t b) {
-                  if (sched_start_[a] != sched_start_[b])
-                    return sched_start_[a] < sched_start_[b];
+                [&sched_start](std::uint32_t a, std::uint32_t b) {
+                  if (sched_start[a] != sched_start[b])
+                    return sched_start[a] < sched_start[b];
                   return a < b;
                 });
     }
@@ -266,6 +289,13 @@ class ScheduleSimulator::Impl {
     head_.assign(m, 0);
     busy_.assign(m, 0);
     crashed_.assign(m, 0);
+    cur_proc_ = proc_of_;
+    cur_duration_ = duration_;
+    moved_pool_.resize(m);
+    running_.assign(m, kNoReplica);
+    run_finish_.assign(m, 0.0);
+    repair_at_.assign(m, kInf);
+    mark_.assign(total, 0);
     // Worst-case live events: one finish per replica + one message per
     // channel in flight + the crashes; reserving the replica+channel part
     // up front makes the heap allocation-free for every scenario whose
@@ -288,6 +318,16 @@ class ScheduleSimulator::Impl {
     std::fill(head_.begin(), head_.end(), 0u);
     std::fill(busy_.begin(), busy_.end(), std::uint8_t{0});
     std::fill(crashed_.begin(), crashed_.end(), std::uint8_t{0});
+    std::fill(running_.begin(), running_.end(), kNoReplica);
+    std::fill(repair_at_.begin(), repair_at_.end(), kInf);
+    // Only a policy move changes the placement; undo the last run's moves.
+    if (moves_applied_ > 0) {
+      std::copy(proc_of_.begin(), proc_of_.end(), cur_proc_.begin());
+      std::copy(duration_.begin(), duration_.end(), cur_duration_.begin());
+      for (auto& pool : moved_pool_) pool.clear();  // storage retained
+    }
+    moves_applied_ = 0;
+    repairs_applied_ = 0;
     events_.clear();  // storage retained
     seq_ = 0;
     messages_delivered_ = 0;
@@ -297,15 +337,11 @@ class ScheduleSimulator::Impl {
     if (!contention_free_) comm_->reset();
   }
 
-  void seed(const FailureScenario& failures) {
-    for (const Crash& c : failures.crashes()) {
-      push(Event{c.time, seq_++, static_cast<std::uint32_t>(c.proc.index()), 0,
-                 EventType::kCrash});
-    }
-    const std::size_t m = platform_.proc_count();
-    for (std::size_t p = 0; p < m; ++p) {
-      try_start(p, 0.0);
-    }
+  void push_crash(ProcId proc, double time) {
+    FTSCHED_REQUIRE(proc.index() < platform_.proc_count(),
+                    "failure names an unknown processor");
+    push(Event{time, seq_++, static_cast<std::uint32_t>(proc.index()), 0,
+               EventType::kCrash});
   }
 
   void push(const Event& ev) {
@@ -321,110 +357,6 @@ class ScheduleSimulator::Impl {
   }
 
   // --- event handlers -------------------------------------------------------
-
-  void try_start(std::size_t p, double now) {
-    if (crashed_[p] || busy_[p]) return;
-    const std::size_t end = queue_offset_[p + 1];
-    std::size_t cursor = queue_offset_[p] + head_[p];
-    for (; cursor < end; ++cursor) {
-      const std::uint32_t flat = queue_[cursor];
-      const State s = state_[flat];
-      if (s == State::kCancelled || s == State::kDead) {
-        ++head_[p];  // skip provably-never-ready / lost replicas
-        continue;
-      }
-      if (s != State::kPending || unsatisfied_[flat] > 0) return;  // wait
-      state_[flat] = State::kRunning;
-      busy_[p] = 1;
-      actual_start_[flat] = now;
-      const double finish = now + duration_[flat];
-      push(Event{finish, seq_++, flat, 0, EventType::kFinish});
-      return;
-    }
-  }
-
-  void on_finish(std::uint32_t flat, double now) {
-    if (state_[flat] != State::kRunning) return;  // killed by a crash
-    state_[flat] = State::kCompleted;
-    actual_finish_[flat] = now;
-    const std::size_t p = proc_of_[flat];
-    busy_[p] = 0;
-    ++head_[p];
-    // Emit all outgoing messages (active replication: send unconditionally).
-    const std::size_t out_end = out_offset_[flat + 1];
-    for (std::size_t i = out_offset_[flat]; i < out_end; ++i) {
-      const OutChannel& ch = out_[i];
-      if (ch.interproc) {
-        // Contention-free arrival is ready + duration exactly; skipping the
-        // virtual dispatch changes no double.
-        const double arrival =
-            contention_free_
-                ? now + ch.comm_duration
-                : comm_->deliver(ProcId{proc_of_[flat]}, now, ch.comm_duration);
-        ++messages_delivered_;
-        push(Event{arrival, seq_++, ch.dst, ch.slot, EventType::kMessage});
-      } else {
-        push(Event{now, seq_++, ch.dst, ch.slot, EventType::kMessage});
-      }
-    }
-    try_start(p, now);
-  }
-
-  void on_message(std::uint32_t dst, std::uint32_t slot, double now) {
-    if (satisfied_[slot]) return;  // first input wins; ignore the rest
-    satisfied_[slot] = 1;
-    FTSCHED_ASSERT(unsatisfied_[dst] > 0, "satisfied count underflow");
-    --unsatisfied_[dst];
-    if (state_[dst] == State::kPending && unsatisfied_[dst] == 0) {
-      try_start(proc_of_[dst], now);
-    }
-  }
-
-  void on_crash(std::uint32_t p, double now) {
-    if (crashed_[p]) return;
-    crashed_[p] = 1;
-    // Kill everything on p that has not completed by `now`.  A replica
-    // finishing exactly at the crash instant counts as completed (its
-    // finish event sorts before the crash event at equal time).
-    const std::size_t end = queue_offset_[p + 1];
-    for (std::size_t i = queue_offset_[p] + head_[p]; i < end; ++i) {
-      const std::uint32_t flat = queue_[i];
-      if (state_[flat] == State::kPending || state_[flat] == State::kRunning) {
-        mark_lost(flat, State::kDead, now);
-      }
-    }
-    busy_[p] = 0;
-  }
-
-  /// Marks a replica dead/cancelled and propagates doomed-input
-  /// cancellations downstream.
-  void mark_lost(std::uint32_t flat, State lost_state, double now) {
-    FTSCHED_ASSERT(state_[flat] == State::kPending ||
-                       state_[flat] == State::kRunning,
-                   "losing a replica twice");
-    state_[flat] = lost_state;
-    const std::size_t out_end = out_offset_[flat + 1];
-    for (std::size_t i = out_offset_[flat]; i < out_end; ++i) {
-      const OutChannel& ch = out_[i];
-      FTSCHED_ASSERT(live_sources_[ch.slot] > 0, "live source count underflow");
-      if (--live_sources_[ch.slot] == 0 && !satisfied_[ch.slot] &&
-          state_[ch.dst] == State::kPending) {
-        const std::size_t dp = proc_of_[ch.dst];
-        mark_lost(ch.dst, State::kCancelled, now);
-        // Skipping the cancelled head may unblock the processor.
-        if (!crashed_[dp]) try_start(dp, now);
-      }
-    }
-  }
-
-  // --- online (policy-driven) mode ------------------------------------------
-  //
-  // The online run keeps its own copies of the placement-dependent state
-  // (current processor, current duration, per-processor runtime queues) so
-  // the static arrays — and therefore run()/run_batch() — stay untouched.
-  // With a null/no-op policy and a repair-free timeline the handlers below
-  // execute the exact static arithmetic in the exact static order, which is
-  // what the `policy=none` bit-identity property pins down.
 
   /// The OnlineView the policies observe: a window onto the current
   /// (post-move) dynamic state.
@@ -463,8 +395,11 @@ class ScheduleSimulator::Impl {
         const std::uint32_t t = impl_.task_of_[flat];
         out.emplace_back(TaskId{t}, flat - impl_.offset_[t]);
       };
-      const auto& q = impl_.rt_queue_[p];
-      for (std::size_t i = impl_.rt_head_[p]; i < q.size(); ++i) list(q[i]);
+      const std::size_t end = impl_.queue_offset_[p + 1];
+      for (std::size_t i = impl_.queue_offset_[p] + impl_.head_[p]; i < end;
+           ++i) {
+        list(impl_.queue_[i]);
+      }
       // Replicas moved *onto* p live in the fill-in pool, not the queue.
       for (const std::uint32_t flat : impl_.moved_pool_[p]) list(flat);
     }
@@ -483,71 +418,6 @@ class ScheduleSimulator::Impl {
     const Impl& impl_;
   };
 
-  void drive_online(const FailureTimeline& timeline,
-                    ReschedulePolicy* policy) {
-    reset();
-    reset_online();
-    if (policy != nullptr) policy->begin_run();
-    // A no-op policy is never consulted: the handlers then run the static
-    // code paths verbatim (no view construction, no move application).
-    ReschedulePolicy* active =
-        (policy == nullptr || policy->is_noop()) ? nullptr : policy;
-    const std::size_t m = platform_.proc_count();
-    for (const ProcOutage& o : timeline.outages()) {
-      FTSCHED_REQUIRE(o.proc.index() < m, "timeline names an unknown processor");
-      push(Event{o.crash_time, seq_++,
-                 static_cast<std::uint32_t>(o.proc.index()), 0,
-                 EventType::kCrash});
-      if (o.repair_time < kInf) {
-        repair_at_[o.proc.index()] = o.repair_time;
-        push(Event{o.repair_time, seq_++,
-                   static_cast<std::uint32_t>(o.proc.index()), 0,
-                   EventType::kRepair});
-      }
-    }
-    for (std::size_t p = 0; p < m; ++p) {
-      try_start_online(p, 0.0);
-    }
-    while (!events_.empty()) {
-      const Event ev = pop();
-      switch (ev.type) {
-        case EventType::kFinish:
-          on_finish_online(ev.a, ev.time);
-          break;
-        case EventType::kMessage:
-          on_message_online(ev.a, ev.b, ev.time);
-          break;
-        case EventType::kCrash:
-          on_crash_online(ev.a, ev.time, active);
-          break;
-        case EventType::kRepair:
-          on_repair_online(ev.a, ev.time, active);
-          break;
-      }
-    }
-  }
-
-  void reset_online() {
-    const std::size_t m = platform_.proc_count();
-    cur_proc_.assign(proc_of_.begin(), proc_of_.end());
-    cur_duration_.assign(duration_.begin(), duration_.end());
-    rt_queue_.resize(m);
-    for (std::size_t p = 0; p < m; ++p) {
-      rt_queue_[p].assign(
-          queue_.begin() + static_cast<std::ptrdiff_t>(queue_offset_[p]),
-          queue_.begin() + static_cast<std::ptrdiff_t>(queue_offset_[p + 1]));
-    }
-    rt_head_.assign(m, 0);
-    moved_pool_.resize(m);
-    for (auto& pool : moved_pool_) pool.clear();  // storage retained
-    running_.assign(m, kNoReplica);
-    run_finish_.assign(m, 0.0);
-    repair_at_.assign(m, kInf);
-    if (mark_.size() != cur_proc_.size()) mark_.assign(cur_proc_.size(), 0);
-    moves_applied_ = 0;
-    repairs_applied_ = 0;
-  }
-
   /// A stamp no mark_ entry holds yet (entries are cleared on wrap-around).
   std::uint32_t fresh_mark() const {
     if (++mark_stamp_ == 0) {
@@ -557,39 +427,39 @@ class ScheduleSimulator::Impl {
     return mark_stamp_;
   }
 
-  /// try_start against the *runtime* queue: entries that moved away are
-  /// skipped; otherwise the scan is the static in-order rule verbatim.
-  /// Replicas a policy moved onto p do NOT join that in-order queue — they
-  /// sit in a fill-in pool consulted when the static scan is blocked or
-  /// exhausted.  Tail-appending them instead would make every rescue
-  /// useless (it runs after the whole static queue) and deadlock-prone (a
-  /// blocked static entry waiting on a moved replica parked behind another
-  /// blocked entry).  With no moves the pool is empty and the scan is the
-  /// static rule exactly, which the policy=none bit-identity pins down.
-  void try_start_online(std::size_t p, double now) {
+  /// Starts the next replica on p: the in-order scan of p's queue, skipping
+  /// entries a policy moved away or that are already resolved.  Replicas a
+  /// policy moved onto p do NOT join that in-order queue — they sit in a
+  /// fill-in pool consulted when the queue scan is blocked or exhausted.
+  /// Tail-appending them instead would make every rescue useless (it runs
+  /// after the whole queue) and deadlock-prone (a blocked queue entry
+  /// waiting on a moved replica parked behind another blocked entry).
+  /// With no moves the pool is empty and the scan is the static rule
+  /// exactly, which the policy=none bit-identity pins down.
+  void try_start(std::size_t p, double now) {
     if (crashed_[p] || busy_[p]) return;
-    const auto& q = rt_queue_[p];
-    std::size_t& head = rt_head_[p];
-    while (head < q.size()) {
-      const std::uint32_t flat = q[head];
-      if (cur_proc_[flat] != p) {
-        ++head;  // moved to another processor by a policy
-        continue;
-      }
+    const std::size_t base = queue_offset_[p];
+    const std::size_t end = queue_offset_[p + 1];
+    std::size_t cursor = base + head_[p];
+    for (; cursor < end; ++cursor) {
+      const std::uint32_t flat = queue_[cursor];
+      if (cur_proc_[flat] != p) continue;  // moved away by a policy
       const State s = state_[flat];
       if (s == State::kCancelled || s == State::kDead ||
           s == State::kCompleted) {
-        ++head;
-        continue;
+        continue;  // skip provably-never-ready / lost / done replicas
       }
       if (s != State::kPending || unsatisfied_[flat] > 0) break;  // blocked
-      start_online(p, flat, now);
+      head_[p] = static_cast<std::uint32_t>(cursor - base);
+      start(p, flat, now);
       return;
     }
+    head_[p] = static_cast<std::uint32_t>(cursor - base);
+    auto& pool = moved_pool_[p];
+    if (pool.empty()) return;
     // Fill in with the first ready moved replica, in arrival order (the
     // policies emit moves highest-priority-first, so arrival order is the
     // policy's own order).  Entries that moved on or resolved are dropped.
-    auto& pool = moved_pool_[p];
     std::size_t keep = 0;
     std::uint32_t chosen = kNoReplica;
     for (const std::uint32_t flat : pool) {
@@ -601,10 +471,10 @@ class ScheduleSimulator::Impl {
       pool[keep++] = flat;
     }
     pool.resize(keep);
-    if (chosen != kNoReplica) start_online(p, chosen, now);
+    if (chosen != kNoReplica) start(p, chosen, now);
   }
 
-  void start_online(std::size_t p, std::uint32_t flat, double now) {
+  void start(std::size_t p, std::uint32_t flat, double now) {
     state_[flat] = State::kRunning;
     busy_[p] = 1;
     running_[p] = flat;
@@ -614,7 +484,7 @@ class ScheduleSimulator::Impl {
     push(Event{finish, seq_++, flat, 0, EventType::kFinish});
   }
 
-  void on_finish_online(std::uint32_t flat, double now) {
+  void on_finish(std::uint32_t flat, double now) {
     if (state_[flat] != State::kRunning) return;  // killed by a crash
     state_[flat] = State::kCompleted;
     actual_finish_[flat] = now;
@@ -622,52 +492,62 @@ class ScheduleSimulator::Impl {
     busy_[p] = 0;
     running_[p] = kNoReplica;
     // A queue-scan start is always the head; a pool (fill-in) start is not,
-    // and must leave the blocked static head alone.
-    if (rt_head_[p] < rt_queue_[p].size() && rt_queue_[p][rt_head_[p]] == flat) {
-      ++rt_head_[p];
-    }
+    // and must leave the blocked head alone.
+    const std::size_t head = queue_offset_[p] + head_[p];
+    if (head < queue_offset_[p + 1] && queue_[head] == flat) ++head_[p];
+    // Emit all outgoing messages (active replication: send unconditionally).
+    const bool moved = moves_applied_ > 0;
     const std::size_t out_end = out_offset_[flat + 1];
     for (std::size_t i = out_offset_[flat]; i < out_end; ++i) {
       const OutChannel& ch = out_[i];
-      const std::size_t dp = cur_proc_[ch.dst];
-      if (p != dp) {
+      bool interproc = ch.interproc;
+      double d = ch.comm_duration;
+      if (moved) {
         // Recomputed from the *current* processors with the static
         // operands (volume * delay): unmoved channels produce the exact
         // precomputed comm_duration double.
-        const double d = ch.volume * platform_.delay(ProcId{p}, ProcId{dp});
-        const double arrival = contention_free_
-                                   ? now + d
-                                   : comm_->deliver(ProcId{p}, now, d);
+        const std::size_t dp = cur_proc_[ch.dst];
+        interproc = p != dp;
+        d = ch.volume * platform_.delay(ProcId{p}, ProcId{dp});
+      }
+      if (interproc) {
+        // Contention-free arrival is ready + duration exactly; skipping the
+        // virtual dispatch changes no double.
+        const double arrival =
+            contention_free_ ? now + d : comm_->deliver(ProcId{p}, now, d);
         ++messages_delivered_;
         push(Event{arrival, seq_++, ch.dst, ch.slot, EventType::kMessage});
       } else {
         push(Event{now, seq_++, ch.dst, ch.slot, EventType::kMessage});
       }
     }
-    try_start_online(p, now);
+    try_start(p, now);
   }
 
-  void on_message_online(std::uint32_t dst, std::uint32_t slot, double now) {
+  void on_message(std::uint32_t dst, std::uint32_t slot, double now) {
     if (satisfied_[slot]) return;  // first input wins; ignore the rest
     satisfied_[slot] = 1;
     FTSCHED_ASSERT(unsatisfied_[dst] > 0, "satisfied count underflow");
     --unsatisfied_[dst];
     if (state_[dst] == State::kPending && unsatisfied_[dst] == 0) {
-      try_start_online(cur_proc_[dst], now);
+      try_start(cur_proc_[dst], now);
     }
   }
 
-  void on_crash_online(std::uint32_t p, double now, ReschedulePolicy* policy) {
+  void on_crash(std::uint32_t p, double now, ReschedulePolicy* policy) {
     if (crashed_[p]) return;
     crashed_[p] = 1;
-    // The running replica dies first (it is the queue head, so this is the
-    // static kill order); pending replicas get their fate below, after the
-    // policy had its chance to move them.
+    // Kill everything on p that has not completed by `now`.  A replica
+    // finishing exactly at the crash instant counts as completed (its
+    // finish event sorts before the crash event at equal time).  The
+    // running replica dies first (it is the queue head, so this is queue
+    // order); pending replicas get their fate below, after the policy had
+    // its chance to move them.
     if (running_[p] != kNoReplica) {
       const std::uint32_t flat = running_[p];
       running_[p] = kNoReplica;
       if (state_[flat] == State::kRunning) {
-        mark_lost_online(flat, State::kDead, now);
+        mark_lost(flat, State::kDead, now);
       }
     }
     busy_[p] = 0;
@@ -681,29 +561,26 @@ class ScheduleSimulator::Impl {
     }
     if (!will_repair) {
       // Permanent crash: every pending replica still on p dies in queue
-      // order — the static rule — then the fill-in pool in arrival order.
-      // With a scheduled repair they are parked through the outage instead
-      // and resume when the processor returns.
-      const auto& q = rt_queue_[p];
-      for (std::size_t i = rt_head_[p]; i < q.size(); ++i) {
-        const std::uint32_t flat = q[i];
-        if (cur_proc_[flat] != p) continue;
-        if (state_[flat] == State::kPending) {
-          mark_lost_online(flat, State::kDead, now);
+      // order, then the fill-in pool in arrival order.  With a scheduled
+      // repair they are parked through the outage instead and resume when
+      // the processor returns.
+      const std::size_t end = queue_offset_[p + 1];
+      for (std::size_t i = queue_offset_[p] + head_[p]; i < end; ++i) {
+        const std::uint32_t flat = queue_[i];
+        if (cur_proc_[flat] == p && state_[flat] == State::kPending) {
+          mark_lost(flat, State::kDead, now);
         }
       }
       for (const std::uint32_t flat : moved_pool_[p]) {
-        if (cur_proc_[flat] != p) continue;
-        if (state_[flat] == State::kPending) {
-          mark_lost_online(flat, State::kDead, now);
+        if (cur_proc_[flat] == p && state_[flat] == State::kPending) {
+          mark_lost(flat, State::kDead, now);
         }
       }
       moved_pool_[p].clear();
     }
   }
 
-  void on_repair_online(std::uint32_t p, double now,
-                        ReschedulePolicy* policy) {
+  void on_repair(std::uint32_t p, double now, ReschedulePolicy* policy) {
     if (!crashed_[p]) return;
     crashed_[p] = 0;
     repair_at_[p] = kInf;
@@ -715,7 +592,7 @@ class ScheduleSimulator::Impl {
                        moves_scratch_);
       apply_moves(*policy, now);
     }
-    try_start_online(p, now);
+    try_start(p, now);
   }
 
   /// Applies the policy's moves in emitted order, then wakes the affected
@@ -758,16 +635,16 @@ class ScheduleSimulator::Impl {
     // unblocked the queue behind it; wake targets in emitted order, then
     // every live processor (deterministic sweep, try_start is idempotent).
     for (const ReplicaMove& mv : moves_scratch_) {
-      if (crashed_[mv.to.index()] == 0) try_start_online(mv.to.index(), now);
+      if (crashed_[mv.to.index()] == 0) try_start(mv.to.index(), now);
     }
     for (std::size_t p = 0; p < crashed_.size(); ++p) {
-      if (crashed_[p] == 0) try_start_online(p, now);
+      if (crashed_[p] == 0) try_start(p, now);
     }
   }
 
-  /// mark_lost against the runtime placement: identical cascade, but the
-  /// unblock probe targets the destination's *current* processor.
-  void mark_lost_online(std::uint32_t flat, State lost_state, double now) {
+  /// Marks a replica dead/cancelled and propagates doomed-input
+  /// cancellations downstream.
+  void mark_lost(std::uint32_t flat, State lost_state, double now) {
     FTSCHED_ASSERT(state_[flat] == State::kPending ||
                        state_[flat] == State::kRunning,
                    "losing a replica twice");
@@ -779,8 +656,9 @@ class ScheduleSimulator::Impl {
       if (--live_sources_[ch.slot] == 0 && !satisfied_[ch.slot] &&
           state_[ch.dst] == State::kPending) {
         const std::size_t dp = cur_proc_[ch.dst];
-        mark_lost_online(ch.dst, State::kCancelled, now);
-        if (!crashed_[dp]) try_start_online(dp, now);
+        mark_lost(ch.dst, State::kCancelled, now);
+        // Skipping the cancelled head may unblock the processor.
+        if (!crashed_[dp]) try_start(dp, now);
       }
     }
   }
@@ -860,7 +738,6 @@ class ScheduleSimulator::Impl {
   }
 
   const ReplicatedSchedule& schedule_;
-  SimulationOptions options_;
   const TaskGraph& g_;
   const Platform& platform_;
   bool contention_free_;
@@ -868,9 +745,9 @@ class ScheduleSimulator::Impl {
 
   // Static (built once from the schedule).
   std::vector<std::size_t> offset_;       ///< task -> flat replica range
+  std::vector<std::uint32_t> task_of_;    ///< flat replica -> task index
   std::vector<std::uint32_t> proc_of_;    ///< flat replica -> processor
   std::vector<double> duration_;
-  std::vector<double> sched_start_;
   std::vector<std::size_t> out_offset_;   ///< flat replica -> out_ CSR range
   std::vector<OutChannel> out_;
   std::vector<std::size_t> in_offset_;    ///< flat replica -> slot arena range
@@ -887,26 +764,23 @@ class ScheduleSimulator::Impl {
   std::vector<std::uint32_t> unsatisfied_;   ///< copied from unsatisfied0_
   std::vector<std::uint8_t> satisfied_;      ///< slot arena, zero-filled
   std::vector<std::uint32_t> live_sources_;  ///< copied from live_sources0_
-  std::vector<std::uint32_t> head_;
+  std::vector<std::uint32_t> head_;  ///< per proc: first unresolved queue_ entry
   std::vector<std::uint8_t> busy_;
   std::vector<std::uint8_t> crashed_;
+  std::vector<std::uint32_t> running_;  ///< per proc: running flat replica
+  std::vector<double> run_finish_;      ///< per proc: running finish time
+  std::vector<double> repair_at_;       ///< per proc: scheduled repair time
   std::vector<Event> events_;  ///< binary min-heap, storage retained
   std::uint32_t seq_ = 0;
   std::size_t messages_delivered_ = 0;
 
-  // Online-mode state (only touched by drive_online; static runs never
-  // read these).  task_of_ is static, built alongside the flat numbering.
-  std::vector<std::uint32_t> task_of_;  ///< flat replica -> task index
+  // Placement state a policy can change: equal to proc_of_/duration_ (and
+  // the pools empty) until a run applies a move.
   std::vector<std::uint32_t> cur_proc_;
   std::vector<double> cur_duration_;
-  std::vector<std::vector<std::uint32_t>> rt_queue_;  ///< runtime queues
-  std::vector<std::size_t> rt_head_;
   /// Per proc: replicas a policy moved here, in arrival order.  Fill-in
   /// work for when the in-order queue scan is blocked or exhausted.
   std::vector<std::vector<std::uint32_t>> moved_pool_;
-  std::vector<std::uint32_t> running_;  ///< per proc: running flat replica
-  std::vector<double> run_finish_;      ///< per proc: running finish time
-  std::vector<double> repair_at_;       ///< per proc: scheduled repair time
   std::vector<ReplicaMove> moves_scratch_;
   /// Per flat replica: "seen in the current sweep" when equal to the
   /// latest fresh_mark() (pending_on's listing, apply_moves' batch).
