@@ -258,7 +258,11 @@ class FtbarEngine {
       schedule.place_task(t, replicas_[t.index()]);
     }
     // All-pairs channels with the intra-processor shortcut, over the final
-    // replica sets (duplication included).
+    // replica sets (duplication included).  The shortcut needs the local
+    // source to finish before the consumer starts: a source queued behind
+    // its consumer (typically a duplicate added later by
+    // try_minimize_start_time) would leave the consumer waiting on its own
+    // processor, so one crash elsewhere could starve every replica.
     for (std::size_t e = 0; e < g_.edge_count(); ++e) {
       const Edge& edge = g_.edge(e);
       const auto& src_reps = replicas_[edge.src.index()];
@@ -267,7 +271,8 @@ class FtbarEngine {
       for (std::size_t dk = 0; dk < dst_reps.size(); ++dk) {
         std::size_t local = src_reps.size();
         for (std::size_t sk = 0; sk < src_reps.size(); ++sk) {
-          if (src_reps[sk].proc == dst_reps[dk].proc) {
+          if (src_reps[sk].proc == dst_reps[dk].proc &&
+              src_reps[sk].finish <= dst_reps[dk].start) {
             local = sk;
             break;
           }

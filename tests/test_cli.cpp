@@ -301,6 +301,22 @@ TEST_F(CliTest, SweepRangesOverWorkloadAndScenarioCells) {
   EXPECT_NE(bad.err.find("unknown crash law"), std::string::npos);
 }
 
+// Figure-1 sweeps whose FTBAR schedules wired a consumer to a
+// same-processor source replica queued behind it: one crash then lost the
+// run, and the sweep aborted on its Theorem-4.1 check.
+TEST_F(CliTest, Figure1SweepAtGranularity02Seed5Completes) {
+  const CliResult r =
+      run({"sweep", "--figure", "1", "--graphs", "19", "--procs", "10",
+           "--granularities", "0.2", "--seed", "5", "--threads", "2"});
+  EXPECT_EQ(r.code, 0) << r.err;
+}
+
+TEST_F(CliTest, Figure1Sweep40GraphsSeed3Completes) {
+  const CliResult r = run({"sweep", "--figure", "1", "--graphs", "40",
+                           "--seed", "3", "--threads", "2"});
+  EXPECT_EQ(r.code, 0) << r.err;
+}
+
 TEST_F(CliTest, SimulateWithWorkloadSpecAndCrashes) {
   const CliResult r =
       run({"simulate", "--workload", "layered:tasks=25", "--algo", "ftsa",

@@ -13,6 +13,7 @@
 #include "ftsched/sim/validator.hpp"
 #include "ftsched/util/error.hpp"
 #include "ftsched/workload/paper_workload.hpp"
+#include "proptest.hpp"
 
 namespace ftsched {
 namespace {
@@ -69,6 +70,39 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1u, 2u),
                        ::testing::Values(Algo::kFtsa, Algo::kMcGreedy,
                                          Algo::kMcMatching, Algo::kFtbar)));
+
+// Theorem 4.1 as a property of every scheduler over random paper
+// workloads, processor counts, granularities and tie-break seeds, at
+// figure 1's ε = 1.  The FTBAR intra-processor shortcut once broke it for
+// about 0.15% of FTBAR schedules, so the property needs thousands of cases
+// to catch that class.
+TEST(TheoremProperty, EveryScheduleSurvivesEveryEpsilonCrashSet) {
+  proptest::check(
+      "validate_fault_tolerance holds for FTSA, MC-FTSA and FTBAR",
+      [](Rng& rng, std::uint64_t seed) {
+        PaperWorkloadParams params;
+        params.task_min = 20;
+        params.task_max = 40;
+        params.proc_count = static_cast<std::size_t>(rng.uniform_int(5, 8));
+        params.granularity = 0.2 * static_cast<double>(rng.uniform_int(1, 10));
+        const auto w = make_paper_workload(rng, params);
+        const std::size_t eps = 1;
+        FtbarOptions ftbar;
+        ftbar.npf = eps;
+        ftbar.seed = seed;
+        const std::pair<const char*, ReplicatedSchedule> schedules[] = {
+            {"FTSA", ftsa_schedule(w->costs(), FtsaOptions{eps, seed})},
+            {"MC-FTSA",
+             mc_ftsa_schedule(w->costs(), McFtsaOptions{eps, seed})},
+            {"FTBAR", ftbar_schedule(w->costs(), ftbar)}};
+        for (const auto& [name, s] : schedules) {
+          const ValidationReport report = validate_fault_tolerance(s);
+          EXPECT_TRUE(report.valid)
+              << name << " eps=" << eps << ": " << report.failure_description;
+        }
+      },
+      {.iterations = 3000});
+}
 
 TEST(Validator, CountsScenarios) {
   const auto w = small_workload(4);
