@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 #include <unistd.h>
 
 #include "ftsched/experiments/config.hpp"
@@ -463,8 +465,23 @@ void SocketBackend::run(const SweepPlan& plan, SweepSink& sink,
     // Wind-down: keep answering residual lease requests with bye until the
     // fleet has exited (workers that died mid-sweep were tolerated — their
     // leases were re-run — so only the samples matter by now, and those
-    // are all delivered).
-    while (reap() > 0) coordinator.poll(50);
+    // are all delivered).  Once every worker has joined and hung up, no
+    // socket activity will wake the poll, so wait on the exits themselves;
+    // the coordinator still gets a turn every 50 ms, so a worker that joins
+    // late gets its bye.
+    for (std::size_t alive = reap(); alive > 0; alive = reap()) {
+      if (coordinator.connections() > 0 ||
+          coordinator.stats().workers_joined < children.size()) {
+        coordinator.poll(50);
+        continue;
+      }
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::milliseconds(50);
+      while (reap() == alive && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      coordinator.poll(0);
+    }
   } catch (...) {
     for (WorkerChild& child : children) {
       if (!child.outcome && child.proc.running()) child.proc.kill(SIGKILL);
