@@ -12,6 +12,7 @@
 #include "ftsched/platform/failure.hpp"
 #include "ftsched/sim/event_sim.hpp"
 #include "ftsched/sim/trace.hpp"
+#include "ftsched/util/error.hpp"
 #include "ftsched/util/stats.hpp"
 #include "ftsched/workload/classic.hpp"
 #include "ftsched/workload/paper_workload.hpp"
@@ -118,6 +119,14 @@ TEST(Sim, AllProcessorsCrashFails) {
   const SimulationResult r = simulate(s, scenario);
   EXPECT_FALSE(r.success);
   EXPECT_EQ(r.completed_replicas, 0u);
+}
+
+TEST(Sim, CrashOfUnknownProcessorIsRejected) {
+  const auto w = small_workload(5, /*procs=*/4);
+  const auto s = ftsa_schedule(w->costs(), FtsaOptions{1, 0});
+  FailureScenario scenario;
+  scenario.add(ProcId{4u}, 0.0);
+  EXPECT_THROW((void)simulate(s, scenario), InvalidArgument);
 }
 
 TEST(Sim, TaskCompletionTimes) {
