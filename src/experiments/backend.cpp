@@ -466,9 +466,9 @@ void SocketBackend::run(const SweepPlan& plan, SweepSink& sink,
     // fleet has exited (workers that died mid-sweep were tolerated — their
     // leases were re-run — so only the samples matter by now, and those
     // are all delivered).  Once every worker has joined and hung up, no
-    // socket activity will wake the poll, so wait on the exits themselves;
-    // the coordinator still gets a turn every 50 ms, so a worker that joins
-    // late gets its bye.
+    // socket activity will wake the poll, so watch for the exits instead,
+    // every millisecond; a non-blocking turn every 50 ms still answers any
+    // connection that arrives meanwhile.
     for (std::size_t alive = reap(); alive > 0; alive = reap()) {
       if (coordinator.connections() > 0 ||
           coordinator.stats().workers_joined < children.size()) {
