@@ -44,12 +44,12 @@ int main() {
       const auto replicated =
           make_scheduler("ftsa:eps=" + std::to_string(epsilon) + ",seed=" + s)
               ->run(w->costs());
-      FailureScenario scenario;
+      FailureTimeline crashes;
       for (std::size_t v :
            rng.sample_without_replacement(procs, epsilon)) {
-        scenario.add(ProcId{v}, 0.0);
+        crashes.add(ProcId{v}, 0.0);
       }
-      const SimulationResult r = simulate(replicated, scenario);
+      const SimulationResult r = simulate(replicated, crashes);
       auto norm = [&w](double latency) {
         return normalized_latency(latency, w->costs());
       };

@@ -54,9 +54,9 @@ int main() {
                    static_cast<double>(w->graph().task_count()));
         std::size_t failed = 0;
         for (std::size_t trial = 0; trial < trials; ++trial) {
-          const FailureScenario scenario =
+          const FailureTimeline crashes =
               random_crashes(rng, w->platform().proc_count(), epsilon);
-          if (!simulate(s, scenario).success) ++failed;
+          if (!simulate(s, crashes).success) ++failed;
         }
         failures.add(static_cast<double>(failed) /
                      static_cast<double>(trials));

@@ -79,11 +79,11 @@ int main(int argc, char** argv) {
   std::vector<double> latencies;
   Rng mc_rng = rng.split();
   for (std::size_t i = 0; i < samples; ++i) {
-    FailureScenario scenario;
+    FailureTimeline crashes;
     for (std::size_t p = 0; p < procs; ++p) {
-      if (mc_rng.bernoulli(pfail)) scenario.add(ProcId{p}, 0.0);
+      if (mc_rng.bernoulli(pfail)) crashes.add(ProcId{p}, 0.0);
     }
-    const SimulationResult r = simulate(s2, scenario);
+    const SimulationResult r = simulate(s2, crashes);
     if (r.success) latencies.push_back(r.latency);
   }
   const Summary summary = summarize(std::move(latencies));

@@ -95,17 +95,18 @@ int main(int argc, char** argv) {
 
   // Replay under random crash scenarios; both must always succeed.
   for (int trial = 0; trial < 3; ++trial) {
-    const FailureScenario scenario = random_timed_crashes(
+    const FailureTimeline crashes = random_timed_crashes(
         rng, params.proc_count, epsilon, ftsa.upper_bound());
     std::cout << "crash scenario" << " {";
-    for (const Crash& c : scenario.crashes()) {
-      std::cout << " P" << c.proc.value() << "@" << format_double(c.time, 1);
+    for (const ProcOutage& c : crashes.outages()) {
+      std::cout << " P" << c.proc.value() << "@"
+                << format_double(c.crash_time, 1);
     }
     std::cout << " }: FTSA latency "
-              << format_double(simulate(ftsa, scenario).latency, 1)
+              << format_double(simulate(ftsa, crashes).latency, 1)
               << " (<= M=" << format_double(ftsa.upper_bound(), 1)
               << "), MC-FTSA latency "
-              << format_double(simulate(mc, scenario).latency, 1)
+              << format_double(simulate(mc, crashes).latency, 1)
               << " (<= M=" << format_double(mc.upper_bound(), 1) << ")\n";
   }
 

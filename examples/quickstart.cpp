@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
   const SimulationResult ok = simulate(schedule);
   std::cout << "\nfailure-free execution: latency " << ok.latency << '\n';
 
-  FailureScenario crash;
+  FailureTimeline crash;
   crash.add(schedule.replicas(read)[0].proc, 10.0);
   const SimulationResult crashed = simulate(schedule, crash);
   std::cout << "with P" << schedule.replicas(read)[0].proc.value()

@@ -70,7 +70,7 @@ class OnlineView {
   virtual void live_hosts(TaskId t, std::vector<std::size_t>& out) const = 0;
 };
 
-/// Policy callback invoked by ScheduleSimulator::run_online on every crash
+/// Policy callback invoked by ScheduleSimulator::run_summary on every crash
 /// and repair event.
 class ReschedulePolicy {
  public:

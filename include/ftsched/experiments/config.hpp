@@ -45,8 +45,8 @@ struct FigureConfig {
   /// "requeue-heft", "reactive-ftsa").  Empty = {"none"}, the static
   /// schedule replayed unchanged — byte-identical legacy streams, series
   /// and shards.  A non-none policy reruns each drawn failure cell through
-  /// the online simulator (ScheduleSimulator::run_online), letting the
-  /// policy remap pending replicas on every crash/repair event.  With more
+  /// the policy-driven simulator (ScheduleSimulator::run_summary), letting
+  /// the policy remap pending replicas on every crash/repair event.  With more
   /// than one policy cell the series suffix grows a fourth part:
   /// "[workload|scenario|failure|policy]".
   std::vector<std::string> policies;

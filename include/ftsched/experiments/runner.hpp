@@ -214,7 +214,7 @@ class SimulationCache {
 /// Runs the *online* simulate phase of one cell on a fixed draw: per
 /// algorithm, builds the failure timeline (crash instants anchored exactly
 /// like the static path; repairs from draw.unit_repair_delays, or never)
-/// and executes ScheduleSimulator::run_online with `policy` reacting to
+/// and executes ScheduleSimulator::run_summary with `policy` reacting to
 /// every crash/repair event.  Emits "DrawnCrashes" plus, per algorithm,
 /// "<A>-Success", "<A>-DrawnCrash"/"OH-<A>-DrawnCrash" on success, and
 /// "<A>-Moves" — the same graceful-degradation layout as a non-default

@@ -1,9 +1,11 @@
-// Fail-silent (fail-stop) processor failure scenarios (paper §1, §6).
+// Fail-silent (fail-stop) processor failures (paper §1, §6).
 //
-// A scenario is a set of (processor, crash time) pairs.  A crashed processor
-// executes nothing whose finish time exceeds its crash time and sends no
-// messages after it.  crash time 0 models a processor dead from the start —
-// the worst case used for the paper's "crash" curves.
+// A crashed processor executes nothing whose finish time exceeds its crash
+// time and sends no messages after it.  Crash time 0 models a processor dead
+// from the start — the worst case used for the paper's "crash" curves.  The
+// paper's model gives each processor at most one, permanent, crash; the
+// repair/restart laws of the sweep engine additionally bring a crashed
+// processor back at a finite repair time.
 #pragma once
 
 #include <cstddef>
@@ -16,103 +18,55 @@
 
 namespace ftsched {
 
-struct Crash {
-  ProcId proc;
-  double time = 0.0;
-};
-
-class FailureScenario {
- public:
-  FailureScenario() = default;
-  explicit FailureScenario(std::vector<Crash> crashes);
-
-  /// Adds a crash; a processor may appear at most once.
-  void add(ProcId proc, double time = 0.0);
-
-  [[nodiscard]] std::size_t crash_count() const noexcept {
-    return crashes_.size();
-  }
-  [[nodiscard]] const std::vector<Crash>& crashes() const noexcept {
-    return crashes_;
-  }
-
-  /// Crash time of `proc`, or +infinity if it never fails.
-  [[nodiscard]] double crash_time(ProcId proc) const noexcept;
-
-  [[nodiscard]] bool is_failed(ProcId proc) const noexcept {
-    return crash_time(proc) < std::numeric_limits<double>::infinity();
-  }
-
-  /// True iff `proc` is alive at `time` (strictly before its crash).
-  [[nodiscard]] bool alive_at(ProcId proc, double time) const noexcept {
-    return time < crash_time(proc);
-  }
-
- private:
-  std::vector<Crash> crashes_;
-};
-
 /// One processor's downtime window: it crashes at `crash_time` and — when
 /// `repair_time` is finite — comes back empty (restarted, all local state
-/// lost) at `repair_time`.  +infinity means the crash is permanent, which
-/// makes a repair-free timeline equivalent to a FailureScenario.
+/// lost) at `repair_time`.  +infinity means the crash is permanent.
 struct ProcOutage {
   ProcId proc;
   double crash_time = 0.0;
   double repair_time = std::numeric_limits<double>::infinity();
 };
 
-/// A failure *timeline*: the generalisation of FailureScenario the online
-/// (policy-driven) simulator consumes.  Where a scenario is a one-shot
-/// victim set, a timeline orders crash and repair events on the time axis,
-/// so repair/restart failure dynamics (`repair:mttr=`, `burst:`) become
-/// expressible.  Repair-free timelines round-trip to scenarios exactly.
+/// A failure *timeline*: at most one outage per processor, in insertion
+/// order (the simulator seeds its crash events in that order, which breaks
+/// ties between equal crash times).  A repair-free timeline is the paper's
+/// one-shot victim set; repairs make the repair/restart failure dynamics
+/// (`repair:mttr=`, `burst:`) expressible.
 class FailureTimeline {
  public:
   FailureTimeline() = default;
 
-  /// Adds an outage; a processor may appear at most once and its repair
-  /// (when finite) must come strictly after its crash.
+  /// Adds an outage; a processor may appear at most once, its crash time
+  /// must be finite and >= 0, and its repair (when finite) must come
+  /// strictly after its crash.
   void add(ProcId proc, double crash_time,
            double repair_time = std::numeric_limits<double>::infinity());
 
   [[nodiscard]] const std::vector<ProcOutage>& outages() const noexcept {
     return outages_;
   }
-  [[nodiscard]] bool empty() const noexcept { return outages_.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return outages_.size(); }
-
-  /// True iff any outage ends in a finite repair.
-  [[nodiscard]] bool has_repairs() const noexcept;
-
-  /// Embeds a one-shot victim set as a timeline of permanent crashes.
-  [[nodiscard]] static FailureTimeline from_scenario(
-      const FailureScenario& scenario);
-
-  /// Drops the repair half: the conservative static view of this timeline.
-  [[nodiscard]] FailureScenario crashes_only() const;
 
  private:
   std::vector<ProcOutage> outages_;
 };
 
 /// `count` distinct victims drawn uniformly from the m processors, all
-/// crashing at time `crash_time` (paper §6 crash experiments).
-[[nodiscard]] FailureScenario random_crashes(Rng& rng, std::size_t proc_count,
+/// crashing permanently at time `crash_time` (paper §6 crash experiments).
+[[nodiscard]] FailureTimeline random_crashes(Rng& rng, std::size_t proc_count,
                                              std::size_t count,
                                              double crash_time = 0.0);
 
 /// Like random_crashes but each victim gets an independent crash time drawn
 /// uniformly from [0, horizon).
-[[nodiscard]] FailureScenario random_timed_crashes(Rng& rng,
+[[nodiscard]] FailureTimeline random_timed_crashes(Rng& rng,
                                                    std::size_t proc_count,
                                                    std::size_t count,
                                                    double horizon);
 
 /// Every subset of exactly `count` processors out of `proc_count`, crashing
-/// at time 0. Used by the exhaustive Theorem-4.1 validator; the number of
-/// scenarios is C(proc_count, count), so keep the inputs small.
-[[nodiscard]] std::vector<FailureScenario> all_crash_subsets(
+/// permanently at time 0. Used by the exhaustive Theorem-4.1 validator; the
+/// number of timelines is C(proc_count, count), so keep the inputs small.
+[[nodiscard]] std::vector<FailureTimeline> all_crash_subsets(
     std::size_t proc_count, std::size_t count);
 
 /// Crash-instant law: the scenario dimension of the sweep engine.

@@ -72,10 +72,10 @@ struct SimulationOptions {
 /// counts, sweep cells) skips the per-call rebuild the one-shot simulate()
 /// pays.  run() is bit-identical to simulate() with the same arguments.
 ///
-/// Every entry point — run(), run_summary(), run_batch() and run_online() —
-/// drives one event loop with one set of handlers.  A static run is the
-/// online run with no policy and no repairs, so nothing can move a replica
-/// and the two semantics cannot drift apart.
+/// Every entry point — run(), run_summary() and run_batch() — drives one
+/// event loop with one set of handlers.  A static run is the online run
+/// with no policy, so nothing can move a replica and the two semantics
+/// cannot drift apart.
 ///
 /// All dynamic state is structure-of-arrays: flat parallel arrays indexed
 /// by a build-once replica numbering (status bytes, in-edge satisfaction
@@ -100,50 +100,42 @@ class ScheduleSimulator {
   ScheduleSimulator& operator=(const ScheduleSimulator&) = delete;
 
   /// Executes the schedule under `failures` and returns the outcome.
-  [[nodiscard]] SimulationResult run(const FailureScenario& failures = {});
+  /// Outages with a finite repair restart their processor with its
+  /// remaining queue (pending replicas are parked through the outage
+  /// instead of dying); no policy moves anything.
+  [[nodiscard]] SimulationResult run(const FailureTimeline& failures = {});
 
-  /// Success + achieved latency of one run, computed exactly like run()'s
-  /// (same event loop, same doubles) but without materialising the
-  /// per-replica outcome lists — the right call for tight simulate-many
-  /// loops that only chart latencies.
+  /// Outcome of one run without the per-replica outcome lists: success and
+  /// achieved latency computed exactly like run()'s (same event loop, same
+  /// doubles), plus what the policy did.
   struct Summary {
-    bool success = false;
-    double latency = std::numeric_limits<double>::infinity();
-  };
-  [[nodiscard]] Summary run_summary(const FailureScenario& failures = {});
-
-  /// Batch entry of the simulate-many loop: runs every scenario in order,
-  /// writing summaries[i] = run_summary(scenarios[i]).  One call amortises
-  /// the per-call plumbing and keeps the static structure and the dynamic
-  /// arenas hot in cache across all crash simulations of one schedule.
-  /// summaries must have at least scenarios.size() elements.
-  void run_batch(std::span<const FailureScenario> scenarios,
-                 std::span<Summary> summaries);
-
-  /// Outcome of one policy-driven (online) run.
-  struct OnlineSummary {
     bool success = false;
     double latency = std::numeric_limits<double>::infinity();
     std::size_t moves = 0;    ///< replica moves applied by the policy
     std::size_t repairs = 0;  ///< repair events applied
   };
 
-  /// The schedule→simulate inversion: executes the schedule under a failure
-  /// *timeline* (crashes with optional repairs) and calls back into
-  /// `policy` on every crash and repair event, applying the moves it emits
-  /// (core/reschedule.hpp).  A null or no-op policy reproduces the static
-  /// semantics exactly — same event ordering, same doubles as run() —
-  /// *when the timeline has no repairs*; repairs restart the processor
-  /// with its remaining queue (pending replicas are parked through the
-  /// outage instead of dying).  It shares the event kernel with run()/
-  /// run_batch(), and every run starts by resetting that kernel (moves of
-  /// the previous run included), so the calls interleave freely on the
-  /// same simulator (not concurrently).  A move batch
-  /// that breaks the ReplicaMove contract (unknown task, replica or
-  /// processor, crashed target, non-pending replica, one replica moved
-  /// twice, bad duration) throws InvalidArgument naming the policy.
-  [[nodiscard]] OnlineSummary run_online(const FailureTimeline& timeline,
-                                         ReschedulePolicy* policy = nullptr);
+  /// The run for tight simulate-many loops, and the schedule→simulate
+  /// inversion: when `policy` is non-null its begin_run() is called once,
+  /// then it is called back on every crash and repair event and the moves
+  /// it emits are applied (core/reschedule.hpp).  A null or no-op policy
+  /// moves nothing and gives exactly run()'s success and latency.  Every
+  /// run starts by resetting the kernel (moves of the previous run
+  /// included), so all entry points interleave freely on the same
+  /// simulator (not concurrently).  A move batch that breaks the
+  /// ReplicaMove contract (unknown task, replica or processor, crashed
+  /// target, non-pending replica, one replica moved twice, bad duration)
+  /// throws InvalidArgument naming the policy.
+  [[nodiscard]] Summary run_summary(const FailureTimeline& failures = {},
+                                    ReschedulePolicy* policy = nullptr);
+
+  /// Batch entry of the simulate-many loop: runs every timeline in order
+  /// with no policy, writing summaries[i] = run_summary(timelines[i]).  One
+  /// call amortises the per-call plumbing and keeps the static structure
+  /// and the dynamic arenas hot in cache across all crash simulations of
+  /// one schedule.  summaries must have at least timelines.size() elements.
+  void run_batch(std::span<const FailureTimeline> timelines,
+                 std::span<Summary> summaries);
 
  private:
   class Impl;
@@ -156,7 +148,7 @@ class ScheduleSimulator {
 /// ScheduleSimulator: callers simulating one schedule repeatedly should
 /// construct the simulator once instead.
 [[nodiscard]] SimulationResult simulate(const ReplicatedSchedule& schedule,
-                                        const FailureScenario& failures = {},
+                                        const FailureTimeline& failures = {},
                                         const SimulationOptions& options = {});
 
 }  // namespace ftsched

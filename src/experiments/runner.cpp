@@ -16,16 +16,27 @@ namespace ftsched {
 
 namespace {
 
-/// Builds the failure scenario of the first `count` victims of `draw`, each
+/// Builds the failure timeline of the first `count` victims of `draw`, each
 /// crashing at its unit time scaled by `anchor` (the schedule's failure-free
-/// lower bound; unit time 0 = the paper's t=0 worst case).
-FailureScenario make_scenario(const CellDraw& draw, double anchor,
-                              std::size_t count) {
-  FailureScenario scenario;
+/// lower bound; unit time 0 = the paper's t=0 worst case).  With
+/// `repairs`, each victim restarts after its unit repair delay scaled the
+/// same way; without, every crash is permanent (the static cells' view).  A
+/// degenerate zero-length outage (a repair delay that rounds to no time at
+/// all at this anchor) is recorded as never repaired rather than violating
+/// the timeline's repair > crash contract.
+FailureTimeline anchor_timeline(const CellDraw& draw, double anchor,
+                                std::size_t count, bool repairs) {
+  FailureTimeline timeline;
   for (std::size_t i = 0; i < count; ++i) {
-    scenario.add(ProcId{draw.victims[i]}, draw.unit_times[i] * anchor);
+    const double crash = draw.unit_times[i] * anchor;
+    double repair = std::numeric_limits<double>::infinity();
+    if (repairs && i < draw.unit_repair_delays.size()) {
+      const double candidate = crash + draw.unit_repair_delays[i] * anchor;
+      if (candidate > crash) repair = candidate;
+    }
+    timeline.add(ProcId{draw.victims[i]}, crash, repair);
   }
-  return scenario;
+  return timeline;
 }
 
 /// Resolves a registry spec, injecting the instance's epsilon and seed as
@@ -203,7 +214,7 @@ SeriesSample simulate_drawn_cell(const InstanceSchedules& schedules,
   std::vector<ScheduleSimulator::Summary> summaries;
   std::vector<SimulationCache::Key> miss_keys;
   std::vector<std::size_t> miss_slots;
-  std::vector<FailureScenario> miss_scenarios;
+  std::vector<FailureTimeline> miss_timelines;
   std::vector<ScheduleSimulator::Summary> miss_summaries;
 
   for (std::size_t ai = 0; ai < schedules.algos.size(); ++ai) {
@@ -232,7 +243,7 @@ SeriesSample simulate_drawn_cell(const InstanceSchedules& schedules,
     summaries.assign(counts.size(), {});
     miss_keys.clear();
     miss_slots.clear();
-    miss_scenarios.clear();
+    miss_timelines.clear();
     for (std::size_t i = 0; i < simulated; ++i) {
       if (cache != nullptr) {
         SimulationCache::Key key;
@@ -253,12 +264,13 @@ SeriesSample simulate_drawn_cell(const InstanceSchedules& schedules,
         miss_keys.push_back(std::move(key));
       }
       miss_slots.push_back(i);
-      miss_scenarios.push_back(make_scenario(draw, anchor, counts[i]));
+      miss_timelines.push_back(
+          anchor_timeline(draw, anchor, counts[i], /*repairs=*/false));
     }
 
-    if (!miss_scenarios.empty()) {
-      miss_summaries.assign(miss_scenarios.size(), {});
-      a.simulator->run_batch(miss_scenarios, miss_summaries);
+    if (!miss_timelines.empty()) {
+      miss_summaries.assign(miss_timelines.size(), {});
+      a.simulator->run_batch(miss_timelines, miss_summaries);
       for (std::size_t j = 0; j < miss_slots.size(); ++j) {
         summaries[miss_slots[j]] = miss_summaries[j];
         if (cache != nullptr) {
@@ -266,7 +278,7 @@ SeriesSample simulate_drawn_cell(const InstanceSchedules& schedules,
         }
       }
       if (cache != nullptr) {
-        cache->stats_.simulations += miss_scenarios.size();
+        cache->stats_.simulations += miss_timelines.size();
       }
     }
     if (drawn_dup) {
@@ -317,26 +329,13 @@ SeriesSample simulate_online_cell(const InstanceSchedules& schedules,
   sample["DrawnCrashes"] = static_cast<double>(drawn);
 
   for (const InstanceSchedules::Algo& a : schedules.algos) {
-    const double anchor = a.schedule->lower_bound();
-    // The timeline anchors exactly like make_scenario — same crash-time
-    // doubles as the static path — plus the repair instants the static
-    // path discards.  A degenerate zero-length outage (repair delay that
-    // rounds to no time at all at this anchor) is recorded as never
-    // repaired rather than violating the timeline's repair > crash
-    // contract.
-    FailureTimeline timeline;
-    for (std::size_t i = 0; i < drawn; ++i) {
-      const double crash = draw.unit_times[i] * anchor;
-      double repair = std::numeric_limits<double>::infinity();
-      if (i < draw.unit_repair_delays.size()) {
-        const double candidate = crash + draw.unit_repair_delays[i] * anchor;
-        if (candidate > crash) repair = candidate;
-      }
-      timeline.add(ProcId{draw.victims[i]}, crash, repair);
-    }
+    // The same crash-time doubles as the static cells, plus the repair
+    // instants they discard.
+    const FailureTimeline timeline = anchor_timeline(
+        draw, a.schedule->lower_bound(), drawn, /*repairs=*/true);
     policy.prepare(*a.schedule);
-    const ScheduleSimulator::OnlineSummary result =
-        a.simulator->run_online(timeline, &policy);
+    const ScheduleSimulator::Summary result =
+        a.simulator->run_summary(timeline, &policy);
     // Past-ε failures are legitimate here just as under a non-default
     // static model: record the success indicator and gate the latency
     // series on it.  (With a live policy even ≤ ε crashes carry no

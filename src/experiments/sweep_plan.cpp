@@ -256,7 +256,7 @@ std::vector<SeriesSample> SweepPlan::evaluate_group(
     }
     out.push_back(simulate_online_cell(schedules, draw, *policy));
     if (stats != nullptr) {
-      // One run_online per algorithm; its move count is the Moves series.
+      // One policy run per algorithm; its move count is the Moves series.
       for (const InstanceSchedules::Algo& a : schedules.algos) {
         ++stats->online_runs;
         stats->policy_moves +=

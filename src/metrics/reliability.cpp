@@ -22,20 +22,21 @@ double exact_reliability(const ReplicatedSchedule& schedule,
   const std::size_t m = schedule.platform().proc_count();
   check_probs(m, fail_prob);
   FTSCHED_REQUIRE(m <= 20, "exact_reliability limited to 20 processors");
+  ScheduleSimulator simulator(schedule);
   double reliability = 0.0;
   for (std::size_t mask = 0; mask < (std::size_t{1} << m); ++mask) {
     double prob = 1.0;
-    FailureScenario scenario;
+    FailureTimeline crashes;
     for (std::size_t p = 0; p < m; ++p) {
       if (mask & (std::size_t{1} << p)) {
         prob *= fail_prob[p];
-        scenario.add(ProcId{p}, 0.0);
+        crashes.add(ProcId{p}, 0.0);
       } else {
         prob *= 1.0 - fail_prob[p];
       }
     }
     if (prob == 0.0) continue;
-    if (simulate(schedule, scenario).success) reliability += prob;
+    if (simulator.run_summary(crashes).success) reliability += prob;
   }
   return reliability;
 }
@@ -48,14 +49,15 @@ ReliabilityEstimate monte_carlo_reliability(
   FTSCHED_REQUIRE(samples > 0, "need at least one sample");
   ReliabilityEstimate estimate;
   estimate.samples = samples;
+  ScheduleSimulator simulator(schedule);
   double latency_sum = 0.0;
   std::size_t successes = 0;
   for (std::size_t s = 0; s < samples; ++s) {
-    FailureScenario scenario;
+    FailureTimeline crashes;
     for (std::size_t p = 0; p < m; ++p) {
-      if (rng.bernoulli(fail_prob[p])) scenario.add(ProcId{p}, 0.0);
+      if (rng.bernoulli(fail_prob[p])) crashes.add(ProcId{p}, 0.0);
     }
-    const SimulationResult result = simulate(schedule, scenario);
+    const ScheduleSimulator::Summary result = simulator.run_summary(crashes);
     if (result.success) {
       ++successes;
       latency_sum += result.latency;

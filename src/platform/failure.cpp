@@ -11,27 +11,10 @@
 
 namespace ftsched {
 
-FailureScenario::FailureScenario(std::vector<Crash> crashes) {
-  for (const Crash& c : crashes) add(c.proc, c.time);
-}
-
-void FailureScenario::add(ProcId proc, double time) {
-  FTSCHED_REQUIRE(proc.valid(), "invalid processor id");
-  FTSCHED_REQUIRE(time >= 0.0, "crash time must be non-negative");
-  FTSCHED_REQUIRE(!is_failed(proc), "processor already crashes in scenario");
-  crashes_.push_back(Crash{proc, time});
-}
-
-double FailureScenario::crash_time(ProcId proc) const noexcept {
-  for (const Crash& c : crashes_) {
-    if (c.proc == proc) return c.time;
-  }
-  return std::numeric_limits<double>::infinity();
-}
-
 void FailureTimeline::add(ProcId proc, double crash_time, double repair_time) {
   FTSCHED_REQUIRE(proc.valid(), "invalid processor id");
-  FTSCHED_REQUIRE(crash_time >= 0.0, "crash time must be non-negative");
+  FTSCHED_REQUIRE(std::isfinite(crash_time) && crash_time >= 0.0,
+                  "crash time must be finite and >= 0");
   FTSCHED_REQUIRE(repair_time > crash_time,
                   "repair must come strictly after the crash");
   for (const ProcOutage& o : outages_) {
@@ -40,57 +23,37 @@ void FailureTimeline::add(ProcId proc, double crash_time, double repair_time) {
   outages_.push_back(ProcOutage{proc, crash_time, repair_time});
 }
 
-bool FailureTimeline::has_repairs() const noexcept {
-  for (const ProcOutage& o : outages_) {
-    if (o.repair_time < std::numeric_limits<double>::infinity()) return true;
-  }
-  return false;
-}
-
-FailureTimeline FailureTimeline::from_scenario(
-    const FailureScenario& scenario) {
-  FailureTimeline timeline;
-  for (const Crash& c : scenario.crashes()) timeline.add(c.proc, c.time);
-  return timeline;
-}
-
-FailureScenario FailureTimeline::crashes_only() const {
-  FailureScenario scenario;
-  for (const ProcOutage& o : outages_) scenario.add(o.proc, o.crash_time);
-  return scenario;
-}
-
-FailureScenario random_crashes(Rng& rng, std::size_t proc_count,
+FailureTimeline random_crashes(Rng& rng, std::size_t proc_count,
                                std::size_t count, double crash_time) {
   FTSCHED_REQUIRE(count <= proc_count,
                   "cannot crash more processors than exist");
-  FailureScenario scenario;
+  FailureTimeline timeline;
   for (std::size_t idx : rng.sample_without_replacement(proc_count, count)) {
-    scenario.add(ProcId{idx}, crash_time);
+    timeline.add(ProcId{idx}, crash_time);
   }
-  return scenario;
+  return timeline;
 }
 
-FailureScenario random_timed_crashes(Rng& rng, std::size_t proc_count,
+FailureTimeline random_timed_crashes(Rng& rng, std::size_t proc_count,
                                      std::size_t count, double horizon) {
   FTSCHED_REQUIRE(count <= proc_count,
                   "cannot crash more processors than exist");
   FTSCHED_REQUIRE(horizon >= 0.0, "horizon must be non-negative");
-  FailureScenario scenario;
+  FailureTimeline timeline;
   for (std::size_t idx : rng.sample_without_replacement(proc_count, count)) {
-    scenario.add(ProcId{idx}, rng.uniform(0.0, horizon));
+    timeline.add(ProcId{idx}, rng.uniform(0.0, horizon));
   }
-  return scenario;
+  return timeline;
 }
 
 namespace {
 void enumerate_subsets(std::size_t proc_count, std::size_t count,
                        std::size_t start, std::vector<std::size_t>& current,
-                       std::vector<FailureScenario>& out) {
+                       std::vector<FailureTimeline>& out) {
   if (current.size() == count) {
-    FailureScenario scenario;
-    for (std::size_t p : current) scenario.add(ProcId{p}, 0.0);
-    out.push_back(std::move(scenario));
+    FailureTimeline timeline;
+    for (std::size_t p : current) timeline.add(ProcId{p}, 0.0);
+    out.push_back(std::move(timeline));
     return;
   }
   for (std::size_t p = start; p < proc_count; ++p) {
@@ -101,11 +64,11 @@ void enumerate_subsets(std::size_t proc_count, std::size_t count,
 }
 }  // namespace
 
-std::vector<FailureScenario> all_crash_subsets(std::size_t proc_count,
+std::vector<FailureTimeline> all_crash_subsets(std::size_t proc_count,
                                                std::size_t count) {
   FTSCHED_REQUIRE(count <= proc_count,
                   "cannot crash more processors than exist");
-  std::vector<FailureScenario> result;
+  std::vector<FailureTimeline> result;
   std::vector<std::size_t> current;
   enumerate_subsets(proc_count, count, 0, current, result);
   return result;

@@ -23,9 +23,8 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // kRepair sorts after kCrash at equal time: a processor that crashes and
-// restarts at the same instant still loses its running replica.  Repairs
-// come only from failure timelines, so a crash-only run orders its events by
-// the first three alone.
+// restarts at the same instant still loses its running replica.  A
+// repair-free run orders its events by the first three alone.
 enum class EventType : std::uint8_t {
   kFinish = 0,
   kMessage = 1,
@@ -84,9 +83,9 @@ constexpr std::uint32_t kNoReplica = std::numeric_limits<std::uint32_t>::max();
 /// an arena-backed binary heap whose storage is retained across runs.
 ///
 /// Every entry point runs the same event loop and the same handlers.  A
-/// static run is an online run with no policy, no repairs and an empty
-/// fill-in pool: the handlers then execute the static arithmetic in the
-/// static order, which is what the `policy=none` bit-identity property
+/// static run is a run with no policy, so no move happens and the fill-in
+/// pool stays empty: the handlers then execute the static arithmetic in
+/// the static order, which is what the `policy=none` bit-identity property
 /// pins down.
 class ScheduleSimulator::Impl {
  public:
@@ -99,49 +98,40 @@ class ScheduleSimulator::Impl {
     build_static();
   }
 
-  SimulationResult run(const FailureScenario& failures) {
-    drive(failures.crashes(), {}, nullptr);
+  SimulationResult run(const FailureTimeline& failures) {
+    drive(failures.outages(), nullptr);
     return collect();
   }
 
-  ScheduleSimulator::Summary run_summary(const FailureScenario& failures) {
-    drive(failures.crashes(), {}, nullptr);
+  ScheduleSimulator::Summary run_summary(const FailureTimeline& failures,
+                                         ReschedulePolicy* policy) {
+    if (policy != nullptr) policy->begin_run();
+    // A no-op policy is never consulted: the handlers then run the static
+    // code paths verbatim (no view construction, no move application).
+    drive(failures.outages(),
+          (policy == nullptr || policy->is_noop()) ? nullptr : policy);
     return summarize();
   }
 
-  void run_batch(std::span<const FailureScenario> scenarios,
+  void run_batch(std::span<const FailureTimeline> timelines,
                  std::span<ScheduleSimulator::Summary> summaries) {
-    FTSCHED_REQUIRE(summaries.size() >= scenarios.size(),
-                    "run_batch: summary span shorter than the scenario span");
-    for (std::size_t i = 0; i < scenarios.size(); ++i) {
-      drive(scenarios[i].crashes(), {}, nullptr);
+    FTSCHED_REQUIRE(summaries.size() >= timelines.size(),
+                    "run_batch: summary span shorter than the timeline span");
+    for (std::size_t i = 0; i < timelines.size(); ++i) {
+      drive(timelines[i].outages(), nullptr);
       summaries[i] = summarize();
     }
   }
 
-  ScheduleSimulator::OnlineSummary run_online(const FailureTimeline& timeline,
-                                              ReschedulePolicy* policy) {
-    if (policy != nullptr) policy->begin_run();
-    // A no-op policy is never consulted: the handlers then run the static
-    // code paths verbatim (no view construction, no move application).
-    drive({}, timeline.outages(),
-          (policy == nullptr || policy->is_noop()) ? nullptr : policy);
-    ScheduleSimulator::OnlineSummary s;
-    const ScheduleSimulator::Summary base = summarize();
-    s.success = base.success;
-    s.latency = base.latency;
-    s.moves = moves_applied_;
-    s.repairs = repairs_applied_;
-    return s;
-  }
-
  private:
-  void drive(std::span<const Crash> crashes,
-             std::span<const ProcOutage> outages, ReschedulePolicy* policy) {
+  void drive(std::span<const ProcOutage> outages, ReschedulePolicy* policy) {
     reset();
-    for (const Crash& c : crashes) push_crash(c.proc, c.time);
     for (const ProcOutage& o : outages) {
-      push_crash(o.proc, o.crash_time);
+      FTSCHED_REQUIRE(o.proc.index() < platform_.proc_count(),
+                      "failure names an unknown processor");
+      push(Event{o.crash_time, seq_++,
+                 static_cast<std::uint32_t>(o.proc.index()), 0,
+                 EventType::kCrash});
       if (o.repair_time < kInf) {
         repair_at_[o.proc.index()] = o.repair_time;
         push(Event{o.repair_time, seq_++,
@@ -335,13 +325,6 @@ class ScheduleSimulator::Impl {
     // messages flow); rewind instead of reallocating.  The contention-free
     // default is stateless and bypassed entirely in on_finish.
     if (!contention_free_) comm_->reset();
-  }
-
-  void push_crash(ProcId proc, double time) {
-    FTSCHED_REQUIRE(proc.index() < platform_.proc_count(),
-                    "failure names an unknown processor");
-    push(Event{time, seq_++, static_cast<std::uint32_t>(proc.index()), 0,
-               EventType::kCrash});
   }
 
   void push(const Event& ev) {
@@ -665,10 +648,13 @@ class ScheduleSimulator::Impl {
 
   // --- results --------------------------------------------------------------
 
-  /// Success + achieved latency straight off the flat state arrays: the
-  /// latency fold of collect() without materialising per-replica outcomes.
+  /// Success + achieved latency straight off the flat state arrays (the
+  /// latency fold of collect() without materialising per-replica
+  /// outcomes), plus the run's move and repair counts.
   ScheduleSimulator::Summary summarize() const {
     ScheduleSimulator::Summary s;
+    s.moves = moves_applied_;
+    s.repairs = repairs_applied_;
     s.success = true;
     double latency = 0.0;
     for (const auto& [begin, end] : exit_ranges_) {
@@ -799,27 +785,22 @@ ScheduleSimulator::ScheduleSimulator(ScheduleSimulator&&) noexcept = default;
 ScheduleSimulator& ScheduleSimulator::operator=(ScheduleSimulator&&) noexcept =
     default;
 
-SimulationResult ScheduleSimulator::run(const FailureScenario& failures) {
+SimulationResult ScheduleSimulator::run(const FailureTimeline& failures) {
   return impl_->run(failures);
 }
 
 ScheduleSimulator::Summary ScheduleSimulator::run_summary(
-    const FailureScenario& failures) {
-  return impl_->run_summary(failures);
+    const FailureTimeline& failures, ReschedulePolicy* policy) {
+  return impl_->run_summary(failures, policy);
 }
 
-void ScheduleSimulator::run_batch(std::span<const FailureScenario> scenarios,
+void ScheduleSimulator::run_batch(std::span<const FailureTimeline> timelines,
                                   std::span<Summary> summaries) {
-  impl_->run_batch(scenarios, summaries);
-}
-
-ScheduleSimulator::OnlineSummary ScheduleSimulator::run_online(
-    const FailureTimeline& timeline, ReschedulePolicy* policy) {
-  return impl_->run_online(timeline, policy);
+  impl_->run_batch(timelines, summaries);
 }
 
 SimulationResult simulate(const ReplicatedSchedule& schedule,
-                          const FailureScenario& failures,
+                          const FailureTimeline& failures,
                           const SimulationOptions& options) {
   return ScheduleSimulator(schedule, options).run(failures);
 }

@@ -13,17 +13,18 @@ ValidationReport validate_fault_tolerance(const ReplicatedSchedule& schedule,
   ValidationReport report;
   const double upper = schedule.upper_bound();
   const std::size_t m = schedule.platform().proc_count();
+  ScheduleSimulator simulator(schedule, options.sim);
   for (std::size_t k = 0; k <= schedule.epsilon(); ++k) {
-    for (const FailureScenario& scenario : all_crash_subsets(m, k)) {
-      const SimulationResult result =
-          simulate(schedule, scenario, SimulationOptions{options.sim});
+    for (const FailureTimeline& crashes : all_crash_subsets(m, k)) {
+      const ScheduleSimulator::Summary result = simulator.run_summary(crashes);
       ++report.scenarios_checked;
-      auto describe = [&scenario](const char* what) {
+      auto describe = [&crashes](const char* what) {
         std::ostringstream os;
         os << what << " with crashes {";
-        for (std::size_t i = 0; i < scenario.crashes().size(); ++i) {
-          if (i) os << ", ";
-          os << 'P' << scenario.crashes()[i].proc.value();
+        const char* sep = "";
+        for (const ProcOutage& o : crashes.outages()) {
+          os << sep << 'P' << o.proc.value();
+          sep = ", ";
         }
         os << '}';
         return os.str();

@@ -1,9 +1,10 @@
 // Batch/SoA simulation engine equivalence (PR 6 tentpole): the reusable
 // ScheduleSimulator — run(), run_summary(), run_batch() — must be bit-exact
-// with a fresh one-shot simulate() for every scenario, in every order, on
-// every comm model; and the cross-cell draw dedupe (SimulationCache /
-// simulate_drawn_cell) must fan cached Summaries out without changing a
-// single double, including graceful-degradation cells whose draws exceed ε.
+// with a fresh one-shot simulate() for every failure timeline (with or
+// without repairs), in every order, on every comm model; and the cross-cell
+// draw dedupe (SimulationCache / simulate_drawn_cell) must fan cached
+// Summaries out without changing a single double, including
+// graceful-degradation cells whose draws exceed ε.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -37,10 +38,10 @@ std::unique_ptr<Workload> random_workload(Rng& rng, std::size_t procs,
 
 /// A scenario of `count` random victims at random instants — beyond the
 /// tolerated ε half the time, so failure paths are exercised too.
-FailureScenario random_scenario(Rng& rng, std::size_t procs, double anchor) {
+FailureTimeline random_scenario(Rng& rng, std::size_t procs, double anchor) {
   const std::size_t count = below(rng, procs);
   const auto victims = rng.sample_without_replacement(procs, count);
-  FailureScenario scenario;
+  FailureTimeline scenario;
   for (const std::size_t v : victims) {
     scenario.add(ProcId{v}, rng.uniform(0.0, 1.5) * anchor);
   }
@@ -68,7 +69,7 @@ TEST(BatchSim, RunBatchMatchesFreshSimulatePerScenario) {
         const std::size_t eps = 1 + below(rng, 2);
         const auto s = ftsa_schedule(w->costs(), FtsaOptions{eps, 0});
 
-        std::vector<FailureScenario> scenarios;
+        std::vector<FailureTimeline> scenarios;
         for (std::size_t i = 0; i < 8; ++i) {
           scenarios.push_back(random_scenario(rng, procs, s.lower_bound()));
         }
@@ -76,7 +77,7 @@ TEST(BatchSim, RunBatchMatchesFreshSimulatePerScenario) {
         // Reference: a brand-new engine per scenario (the one-shot path).
         std::vector<SimulationResult> fresh;
         fresh.reserve(scenarios.size());
-        for (const FailureScenario& scenario : scenarios) {
+        for (const FailureTimeline& scenario : scenarios) {
           fresh.push_back(simulate(s, scenario));
         }
 
@@ -114,7 +115,7 @@ TEST(BatchSim, RunBatchMatchesFreshSimulateUnderPortedComm) {
         SimulationOptions options;
         options.comm.kind = CommModelKind::kOnePort;
 
-        std::vector<FailureScenario> scenarios;
+        std::vector<FailureTimeline> scenarios;
         for (std::size_t i = 0; i < 6; ++i) {
           scenarios.push_back(random_scenario(rng, procs, s.lower_bound()));
         }
@@ -126,6 +127,57 @@ TEST(BatchSim, RunBatchMatchesFreshSimulateUnderPortedComm) {
         }
       },
       {.iterations = 8});
+}
+
+TEST(BatchSim, RunMatchesRunSummaryUnderRepairs) {
+  // With repairs and no policy, the full run() and the summary entry points
+  // must agree: a repaired processor resumes its parked queue in both, and
+  // every finite repair is applied exactly once.
+  proptest::check(
+      "run(t with repairs) == run_summary(t) == run_batch, bit for bit",
+      [](Rng& rng, std::uint64_t) {
+        const std::size_t procs = 4 + below(rng, 4);
+        const auto w = random_workload(rng, procs, 12 + below(rng, 20));
+        const auto s = ftsa_schedule(w->costs(), FtsaOptions{1, 0});
+        SimulationOptions options;
+        if (rng.bernoulli(0.5)) options.comm.kind = CommModelKind::kOnePort;
+        ScheduleSimulator sim(s, options);
+        const double anchor = s.lower_bound();
+
+        std::vector<FailureTimeline> timelines;
+        std::vector<std::size_t> repair_counts;
+        for (std::size_t i = 0; i < 6; ++i) {
+          const std::size_t count = 1 + below(rng, procs);
+          FailureTimeline timeline;
+          std::size_t repairs = 0;
+          for (const std::size_t v :
+               rng.sample_without_replacement(procs, count)) {
+            const double crash = rng.uniform(0.0, 1.2) * anchor;
+            if (rng.bernoulli(0.7)) {
+              timeline.add(ProcId{v}, crash,
+                           crash + rng.uniform(0.05, 0.8) * anchor);
+              ++repairs;
+            } else {
+              timeline.add(ProcId{v}, crash);
+            }
+          }
+          timelines.push_back(std::move(timeline));
+          repair_counts.push_back(repairs);
+        }
+        std::vector<ScheduleSimulator::Summary> batch(timelines.size());
+        sim.run_batch(timelines, batch);
+
+        for (std::size_t i = 0; i < timelines.size(); ++i) {
+          const SimulationResult full = sim.run(timelines[i]);
+          const ScheduleSimulator::Summary summary =
+              sim.run_summary(timelines[i]);
+          expect_same(summary, full);
+          expect_same(batch[i], full);
+          EXPECT_EQ(summary.repairs, repair_counts[i]);
+          EXPECT_EQ(summary.moves, 0u);
+        }
+      },
+      {.iterations = 10});
 }
 
 TEST(BatchSim, DrawnCellWithCacheMatchesUncachedCell) {

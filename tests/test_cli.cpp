@@ -156,6 +156,19 @@ TEST_F(CliTest, SimulateRejectsMalformedCrashSpecs) {
   }
 }
 
+TEST_F(CliTest, SimulateRejectsNonFiniteCrashTimes) {
+  // "0@inf" used to parse as a crash that never happens and run a silent
+  // failure-free simulation; a crash time must be a real instant.
+  for (const char* crashes : {"0@inf", "0@nan", "1@0,0@infinity"}) {
+    const CliResult r = run({"simulate", "--workload", "paper", "--crashes",
+                             crashes});
+    EXPECT_EQ(r.code, 1) << crashes;
+    EXPECT_NE(r.err.find("crash time must be finite and >= 0"),
+              std::string::npos)
+        << crashes << ": " << r.err;
+  }
+}
+
 TEST_F(CliTest, SimulateDrawsScenarioFromFailureModel) {
   ASSERT_EQ(run({"generate", "--family", "layered", "--tasks", "25",
                  "--out", graph_file_})

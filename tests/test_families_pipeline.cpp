@@ -129,7 +129,7 @@ TEST_P(FamilyPipeline, ScheduleValidateAnalyzeExecute) {
   if (epsilon > 0) {
     Rng crash_rng(13);
     for (int trial = 0; trial < 3; ++trial) {
-      const FailureScenario scenario = random_crashes(crash_rng, 5, epsilon);
+      const FailureTimeline scenario = random_crashes(crash_rng, 5, epsilon);
       const SimulationResult r = simulate(s, scenario);
       ASSERT_TRUE(r.success);
       EXPECT_LE(r.latency, s.upper_bound() * (1 + 1e-9));

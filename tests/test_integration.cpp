@@ -124,7 +124,7 @@ TEST(Integration, CrashLatencyStaysBelowUpperBoundAcrossWorkloads) {
           mc_ftsa_schedule(w->costs(), McFtsaOptions{2, 0, sel});
       Rng crash_rng(17);
       for (int trial = 0; trial < 5; ++trial) {
-        const FailureScenario scenario = random_crashes(crash_rng, 5, 2);
+        const FailureTimeline scenario = random_crashes(crash_rng, 5, 2);
         const SimulationResult r = simulate(s, scenario);
         ASSERT_TRUE(r.success) << w->graph().name();
         EXPECT_LE(r.latency, s.upper_bound() * (1 + 1e-9))

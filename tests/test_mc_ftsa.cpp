@@ -2,6 +2,7 @@
 // the selected channel sets, and selector equivalence properties.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <tuple>
 
@@ -82,12 +83,16 @@ TEST_P(McProperty, Prop43RobustChannelSets) {
   const auto subsets = all_crash_subsets(5, epsilon);
   for (std::size_t e = 0; e < w->graph().edge_count(); ++e) {
     const Edge& edge = w->graph().edge(e);
-    for (const FailureScenario& scenario : subsets) {
+    for (const FailureTimeline& scenario : subsets) {
+      const auto is_failed = [&scenario](ProcId p) {
+        return std::any_of(scenario.outages().begin(), scenario.outages().end(),
+                           [p](const ProcOutage& o) { return o.proc == p; });
+      };
       bool survivor = false;
       for (const Channel& c : s.channels(e)) {
         const ProcId src = s.replicas(edge.src)[c.src_replica].proc;
         const ProcId dst = s.replicas(edge.dst)[c.dst_replica].proc;
-        if (!scenario.is_failed(src) && !scenario.is_failed(dst)) {
+        if (!is_failed(src) && !is_failed(dst)) {
           survivor = true;
           break;
         }
@@ -221,7 +226,7 @@ TEST(McFtsa, RepairRestoresTheorem41) {
     fixed.enforce_fault_tolerance = true;
     const auto safe = mc_ftsa_schedule(w->costs(), fixed);
     bool unsafe_failed = false;
-    for (const FailureScenario& scenario : all_crash_subsets(5, 1)) {
+    for (const FailureTimeline& scenario : all_crash_subsets(5, 1)) {
       if (!simulate(unsafe, scenario).success) unsafe_failed = true;
       // The repaired schedule must survive every single-crash scenario.
       EXPECT_TRUE(simulate(safe, scenario).success);

@@ -1,6 +1,6 @@
 // Online rescheduling (PR 9 tentpole): the schedule→simulate inversion must
 // be a strict generalisation of the static path.  `policy=none` (or a null
-// policy) over a repair-free timeline is bit-exact with run_summary(); an
+// policy) over a repair-free timeline is bit-exact with run_batch(); an
 // empty timeline makes *every* registered policy reproduce the static run;
 // the policy sweep axis is deterministic across thread counts and the
 // grouped/ungrouped paths; the shard protocol round-trips the new policy
@@ -43,19 +43,19 @@ std::unique_ptr<Workload> random_workload(Rng& rng, std::size_t procs,
   return make_paper_workload(rng, params);
 }
 
-/// A scenario of `count` random victims at random instants — beyond the
-/// tolerated ε half the time, so failed runs are exercised too.
-FailureScenario random_scenario(Rng& rng, std::size_t procs, double anchor) {
+/// A timeline of `count` random permanent crashes at random instants —
+/// beyond the tolerated ε half the time, so failed runs are exercised too.
+FailureTimeline random_crashes_at(Rng& rng, std::size_t procs, double anchor) {
   const std::size_t count = below(rng, procs);
   const auto victims = rng.sample_without_replacement(procs, count);
-  FailureScenario scenario;
+  FailureTimeline timeline;
   for (const std::size_t v : victims) {
-    scenario.add(ProcId{v}, rng.uniform(0.0, 1.5) * anchor);
+    timeline.add(ProcId{v}, rng.uniform(0.0, 1.5) * anchor);
   }
-  return scenario;
+  return timeline;
 }
 
-void expect_same(const ScheduleSimulator::OnlineSummary& got,
+void expect_same(const ScheduleSimulator::Summary& got,
                  const ScheduleSimulator::Summary& want) {
   EXPECT_EQ(got.success, want.success);
   if (std::isinf(want.latency)) {
@@ -67,8 +67,8 @@ void expect_same(const ScheduleSimulator::OnlineSummary& got,
 
 TEST(OnlinePolicy, NoneAndNullPolicyMatchStaticBitExact) {
   proptest::check(
-      "run_online(crashes-only timeline, none/null) == run_summary(), bit "
-      "for bit",
+      "run_summary(repair-free timeline, none/null) == run_batch, bit for "
+      "bit",
       [](Rng& rng, std::uint64_t) {
         const std::size_t procs = 4 + below(rng, 4);
         const auto w = random_workload(rng, procs, 12 + below(rng, 20));
@@ -78,26 +78,25 @@ TEST(OnlinePolicy, NoneAndNullPolicyMatchStaticBitExact) {
         const ReschedulePolicyPtr none = make_reschedule_policy("none");
         ASSERT_TRUE(none->is_noop());
 
+        std::vector<FailureTimeline> timelines;
         for (std::size_t i = 0; i < 8; ++i) {
-          const FailureScenario scenario =
-              random_scenario(rng, procs, s.lower_bound());
-          const FailureTimeline timeline =
-              FailureTimeline::from_scenario(scenario);
-          EXPECT_FALSE(timeline.has_repairs());
-          const ScheduleSimulator::Summary want = sim.run_summary(scenario);
+          timelines.push_back(random_crashes_at(rng, procs, s.lower_bound()));
+          for (const ProcOutage& o : timelines.back().outages()) {
+            EXPECT_TRUE(std::isinf(o.repair_time));
+          }
+        }
+        std::vector<ScheduleSimulator::Summary> batch(timelines.size());
+        sim.run_batch(timelines, batch);
 
-          const auto null_run = sim.run_online(timeline, nullptr);
-          expect_same(null_run, want);
+        for (std::size_t i = 0; i < timelines.size(); ++i) {
+          const auto null_run = sim.run_summary(timelines[i], nullptr);
+          expect_same(null_run, batch[i]);
           EXPECT_EQ(null_run.moves, 0u);
           EXPECT_EQ(null_run.repairs, 0u);
 
-          const auto none_run = sim.run_online(timeline, none.get());
-          expect_same(none_run, want);
+          const auto none_run = sim.run_summary(timelines[i], none.get());
+          expect_same(none_run, batch[i]);
           EXPECT_EQ(none_run.moves, 0u);
-
-          // Timeline↔scenario round trip is exact.
-          EXPECT_EQ(timeline.crashes_only().crash_count(),
-                    scenario.crash_count());
         }
       },
       {.iterations = 10});
@@ -111,13 +110,13 @@ TEST(OnlinePolicy, EmptyTimelineMatchesStaticForEveryRegisteredPolicy) {
         const auto w = random_workload(rng, procs, 12 + below(rng, 12));
         const auto s = ftsa_schedule(w->costs(), FtsaOptions{1, 0});
         ScheduleSimulator sim(s);
-        const ScheduleSimulator::Summary want = sim.run_summary({});
+        const ScheduleSimulator::Summary want = sim.run_summary();
         ASSERT_TRUE(want.success);
 
         for (const std::string& name : PolicyRegistry::global().names()) {
           const ReschedulePolicyPtr policy = make_reschedule_policy(name);
           policy->prepare(s);
-          const auto got = sim.run_online(FailureTimeline{}, policy.get());
+          const auto got = sim.run_summary(FailureTimeline{}, policy.get());
           expect_same(got, want);
           EXPECT_EQ(got.moves, 0u) << "policy '" << name
                                    << "' moved replicas with zero crashes";
@@ -317,7 +316,7 @@ class CollectSink final : public SweepSink {
 TEST(OnlinePolicy, RunPlanStatsCountOnlineRunsAndMoves) {
   // Static and online simulations are counted apart: simulations_run and
   // dedupe_hits stay the static (`none`) counters, online_runs counts one
-  // run_online per (non-`none` cell, algorithm) and policy_moves sums the
+  // policy run per (non-`none` cell, algorithm) and policy_moves sums the
   // cells' Moves series.
   const SweepPlan plan(policy_grid_config());
   RunPlanStats stats;
@@ -496,11 +495,11 @@ TEST(OnlinePolicy, PendingOnListsAReplicaMovedAwayAndBackOnce) {
   timeline.add(ProcId{4}, 0.06 * lb);             // event 2
   PingPongPolicy policy;
   policy.prepare(s);
-  (void)sim.run_online(timeline, &policy);
+  (void)sim.run_summary(timeline, &policy);
   EXPECT_EQ(policy.listed, 1u);
 }
 
-TEST(OnlinePolicy, RunOnlineRejectsContractBreakingMoves) {
+TEST(OnlinePolicy, PolicyRunRejectsContractBreakingMoves) {
   Rng rng(2024);
   const auto w = random_workload(rng, 6, 30);
   const auto s = ftsa_schedule(w->costs(), FtsaOptions{1, 0});
@@ -522,8 +521,8 @@ TEST(OnlinePolicy, RunOnlineRejectsContractBreakingMoves) {
     RoguePolicy rogue(fault);
     rogue.prepare(s);
     try {
-      (void)sim.run_online(timeline, &rogue);
-      ADD_FAILURE() << "run_online accepted a move with: " << why;
+      (void)sim.run_summary(timeline, &rogue);
+      ADD_FAILURE() << "run_summary accepted a move with: " << why;
     } catch (const InvalidArgument& e) {
       const std::string what = e.what();
       EXPECT_NE(what.find("policy 'rogue': move of task"), std::string::npos)
@@ -537,7 +536,7 @@ TEST(OnlinePolicy, RunOnlineRejectsContractBreakingMoves) {
   for (const std::string& name : PolicyRegistry::global().names()) {
     const ReschedulePolicyPtr policy = make_reschedule_policy(name);
     policy->prepare(s);
-    EXPECT_NO_THROW((void)sim.run_online(timeline, policy.get())) << name;
+    EXPECT_NO_THROW((void)sim.run_summary(timeline, policy.get())) << name;
   }
 }
 

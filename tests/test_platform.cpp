@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
+#include <string>
 
 #include "ftsched/platform/cost_model.hpp"
 #include "ftsched/platform/failure.hpp"
@@ -135,36 +137,55 @@ TEST(CostModel, RejectsBadMatrices) {
 
 // ---------------------------------------------------------------- failures
 
-TEST(Failure, BasicScenario) {
-  FailureScenario s;
-  s.add(ProcId{2u}, 5.0);
-  EXPECT_EQ(s.crash_count(), 1u);
-  EXPECT_TRUE(s.is_failed(ProcId{2u}));
-  EXPECT_FALSE(s.is_failed(ProcId{1u}));
-  EXPECT_DOUBLE_EQ(s.crash_time(ProcId{2u}), 5.0);
-  EXPECT_TRUE(s.alive_at(ProcId{2u}, 4.9));
-  EXPECT_FALSE(s.alive_at(ProcId{2u}, 5.0));
-  EXPECT_TRUE(s.alive_at(ProcId{1u}, 1e9));
+TEST(Failure, BasicTimeline) {
+  FailureTimeline t;
+  EXPECT_TRUE(t.outages().empty());
+  t.add(ProcId{2u}, 5.0);
+  t.add(ProcId{1u}, 0.0, 7.5);
+  ASSERT_EQ(t.outages().size(), 2u);
+  // Insertion order is kept: the simulator seeds crash events in it.
+  EXPECT_EQ(t.outages()[0].proc, ProcId{2u});
+  EXPECT_DOUBLE_EQ(t.outages()[0].crash_time, 5.0);
+  EXPECT_TRUE(std::isinf(t.outages()[0].repair_time));
+  EXPECT_EQ(t.outages()[1].proc, ProcId{1u});
+  EXPECT_DOUBLE_EQ(t.outages()[1].crash_time, 0.0);
+  EXPECT_DOUBLE_EQ(t.outages()[1].repair_time, 7.5);
 }
 
 TEST(Failure, RejectsDuplicatesAndBadInput) {
-  FailureScenario s;
-  s.add(ProcId{0u});
-  EXPECT_THROW(s.add(ProcId{0u}, 1.0), InvalidArgument);
-  EXPECT_THROW(s.add(ProcId{1u}, -1.0), InvalidArgument);
-  EXPECT_THROW(s.add(ProcId{}), InvalidArgument);
+  FailureTimeline t;
+  t.add(ProcId{0u}, 0.0);
+  EXPECT_THROW(t.add(ProcId{0u}, 1.0), InvalidArgument);
+  EXPECT_THROW(t.add(ProcId{}, 0.0), InvalidArgument);
+  EXPECT_THROW(t.add(ProcId{2u}, 3.0, 3.0), InvalidArgument);
+  EXPECT_THROW(t.add(ProcId{2u}, 3.0, 1.0), InvalidArgument);
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {-1.0, kNaN, kInf, -kInf}) {
+    try {
+      t.add(ProcId{1u}, bad);
+      ADD_FAILURE() << "accepted crash time " << bad;
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "crash time must be finite and >= 0"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(t.outages().size(), 1u);  // nothing rejected was kept
 }
 
 TEST(Failure, RandomCrashesDistinctVictims) {
   Rng rng(3);
   for (int trial = 0; trial < 20; ++trial) {
-    const FailureScenario s = random_crashes(rng, 10, 4);
-    EXPECT_EQ(s.crash_count(), 4u);
+    const FailureTimeline t = random_crashes(rng, 10, 4);
+    EXPECT_EQ(t.outages().size(), 4u);
     std::set<ProcId> victims;
-    for (const Crash& c : s.crashes()) {
-      victims.insert(c.proc);
-      EXPECT_DOUBLE_EQ(c.time, 0.0);
-      EXPECT_LT(c.proc.index(), 10u);
+    for (const ProcOutage& o : t.outages()) {
+      victims.insert(o.proc);
+      EXPECT_DOUBLE_EQ(o.crash_time, 0.0);
+      EXPECT_TRUE(std::isinf(o.repair_time));
+      EXPECT_LT(o.proc.index(), 10u);
     }
     EXPECT_EQ(victims.size(), 4u);
   }
@@ -172,10 +193,10 @@ TEST(Failure, RandomCrashesDistinctVictims) {
 
 TEST(Failure, RandomTimedCrashesWithinHorizon) {
   Rng rng(3);
-  const FailureScenario s = random_timed_crashes(rng, 8, 3, 100.0);
-  for (const Crash& c : s.crashes()) {
-    EXPECT_GE(c.time, 0.0);
-    EXPECT_LT(c.time, 100.0);
+  const FailureTimeline t = random_timed_crashes(rng, 8, 3, 100.0);
+  for (const ProcOutage& o : t.outages()) {
+    EXPECT_GE(o.crash_time, 0.0);
+    EXPECT_LT(o.crash_time, 100.0);
   }
 }
 
@@ -190,10 +211,10 @@ TEST(Failure, AllSubsetsCount) {
 TEST(Failure, AllSubsetsAreDistinctAndCorrectSize) {
   const auto subsets = all_crash_subsets(6, 2);
   std::set<std::set<std::uint32_t>> seen;
-  for (const FailureScenario& s : subsets) {
-    EXPECT_EQ(s.crash_count(), 2u);
+  for (const FailureTimeline& t : subsets) {
+    EXPECT_EQ(t.outages().size(), 2u);
     std::set<std::uint32_t> key;
-    for (const Crash& c : s.crashes()) key.insert(c.proc.value());
+    for (const ProcOutage& o : t.outages()) key.insert(o.proc.value());
     seen.insert(key);
   }
   EXPECT_EQ(seen.size(), subsets.size());

@@ -84,7 +84,7 @@ TEST(Robustness, FatalWitnessesAreRealCrashes) {
       ++fatal_found;
       ASSERT_FALSE(report.fatal_processors.empty());
       for (ProcId p : report.fatal_processors) {
-        FailureScenario scenario;
+        FailureTimeline scenario;
         scenario.add(p, 0.0);
         EXPECT_FALSE(simulate(s, scenario).success)
             << "analysis claims P" << p.value() << " is fatal";
@@ -93,7 +93,7 @@ TEST(Robustness, FatalWitnessesAreRealCrashes) {
       // Exact single-crash analysis: no fatal processor => every single
       // crash survivable.
       for (std::size_t p = 0; p < 5; ++p) {
-        FailureScenario scenario;
+        FailureTimeline scenario;
         scenario.add(ProcId{p}, 0.0);
         EXPECT_TRUE(simulate(s, scenario).success);
       }

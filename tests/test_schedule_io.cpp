@@ -62,7 +62,7 @@ TEST(ScheduleIo, ReloadedScheduleSimulatesIdentically) {
   const auto reloaded =
       schedule_from_string(schedule_to_string(original), w->costs());
   Rng rng(5);
-  const FailureScenario scenario = random_crashes(rng, 5, 2);
+  const FailureTimeline scenario = random_crashes(rng, 5, 2);
   const SimulationResult a = simulate(original, scenario);
   const SimulationResult b = simulate(reloaded, scenario);
   EXPECT_EQ(a.success, b.success);
@@ -112,7 +112,7 @@ TEST(ScheduleIo, JsonContainsScheduleAndExecution) {
   EXPECT_NE(plain.find("\"lower_bound\""), std::string::npos);
   EXPECT_EQ(plain.find("\"execution\""), std::string::npos);
 
-  FailureScenario scenario;
+  FailureTimeline scenario;
   scenario.add(ProcId{0u}, 0.0);
   const SimulationResult r = simulate(s, scenario);
   const std::string with_exec = schedule_to_json(s, &r);

@@ -52,7 +52,7 @@ TEST(Sim, CrashOfUnusedProcessorIsHarmless) {
   std::vector<std::vector<double>> exec(3, {1.0, 1.0, 1000.0});
   const CostModel costs(g, p, exec);
   const auto s = ftsa_schedule(costs, FtsaOptions{0, 0});
-  FailureScenario scenario;
+  FailureTimeline scenario;
   scenario.add(ProcId{2u}, 0.0);
   const SimulationResult r = simulate(s, scenario);
   ASSERT_TRUE(r.success);
@@ -64,7 +64,7 @@ TEST(Sim, CrashKillsUnreplicatedSchedule) {
   const auto s = ftsa_schedule(w->costs(), FtsaOptions{0, 0});
   // Crash whichever processor hosts the first task: the run must fail.
   const ProcId victim = s.replicas(TaskId{0u})[0].proc;
-  FailureScenario scenario;
+  FailureTimeline scenario;
   scenario.add(victim, 0.0);
   const SimulationResult r = simulate(s, scenario);
   EXPECT_FALSE(r.success);
@@ -77,7 +77,7 @@ TEST(Sim, SurvivesEpsilonCrashes) {
   const auto s = ftsa_schedule(w->costs(), FtsaOptions{2, 0});
   Rng rng(7);
   for (int trial = 0; trial < 10; ++trial) {
-    const FailureScenario scenario = random_crashes(rng, 5, 2);
+    const FailureTimeline scenario = random_crashes(rng, 5, 2);
     const SimulationResult r = simulate(s, scenario);
     ASSERT_TRUE(r.success);
     // Prop. 4.2: the guaranteed bound holds. (The achieved latency may
@@ -92,7 +92,7 @@ TEST(Sim, MidExecutionCrash) {
   // the schedule (ε = 1) still completes.
   const auto w = small_workload(3, /*procs=*/5);
   const auto s = ftsa_schedule(w->costs(), FtsaOptions{1, 0});
-  FailureScenario scenario;
+  FailureTimeline scenario;
   scenario.add(ProcId{0u}, 0.5 * s.lower_bound());
   const SimulationResult r = simulate(s, scenario);
   ASSERT_TRUE(r.success);
@@ -103,7 +103,7 @@ TEST(Sim, LateCrashDoesNotHurt) {
   // A crash after the whole schedule finished changes nothing.
   const auto w = small_workload(4, /*procs=*/5);
   const auto s = ftsa_schedule(w->costs(), FtsaOptions{1, 0});
-  FailureScenario scenario;
+  FailureTimeline scenario;
   scenario.add(ProcId{1u}, 10.0 * s.upper_bound());
   const SimulationResult r = simulate(s, scenario);
   ASSERT_TRUE(r.success);
@@ -114,7 +114,7 @@ TEST(Sim, LateCrashDoesNotHurt) {
 TEST(Sim, AllProcessorsCrashFails) {
   const auto w = small_workload(5, /*procs=*/4);
   const auto s = ftsa_schedule(w->costs(), FtsaOptions{1, 0});
-  FailureScenario scenario;
+  FailureTimeline scenario;
   for (std::size_t p = 0; p < 4; ++p) scenario.add(ProcId{p}, 0.0);
   const SimulationResult r = simulate(s, scenario);
   EXPECT_FALSE(r.success);
@@ -124,7 +124,7 @@ TEST(Sim, AllProcessorsCrashFails) {
 TEST(Sim, CrashOfUnknownProcessorIsRejected) {
   const auto w = small_workload(5, /*procs=*/4);
   const auto s = ftsa_schedule(w->costs(), FtsaOptions{1, 0});
-  FailureScenario scenario;
+  FailureTimeline scenario;
   scenario.add(ProcId{4u}, 0.0);
   EXPECT_THROW((void)simulate(s, scenario), InvalidArgument);
 }
@@ -149,7 +149,7 @@ TEST(Sim, TaskCompletionTimes) {
 TEST(Sim, DeterministicAcrossRuns) {
   const auto w = small_workload(7, /*procs=*/5);
   const auto s = ftsa_schedule(w->costs(), FtsaOptions{2, 0});
-  FailureScenario scenario;
+  FailureTimeline scenario;
   scenario.add(ProcId{0u}, 0.0);
   scenario.add(ProcId{3u}, 12.0);
   const SimulationResult a = simulate(s, scenario);
@@ -165,7 +165,7 @@ TEST(Sim, CancelledReplicasAreSkippedNotBlocking) {
   // on P0 dies, every task still completes on P1 (the co-located chain).
   const auto w = small_workload(8, /*procs=*/2, /*tasks=*/15);
   const auto s = ftsa_schedule(w->costs(), FtsaOptions{1, 0});
-  FailureScenario scenario;
+  FailureTimeline scenario;
   scenario.add(ProcId{0u}, 0.0);
   const SimulationResult r = simulate(s, scenario);
   ASSERT_TRUE(r.success);
@@ -228,7 +228,7 @@ TEST(Trace, GanttAndListingRender) {
   EXPECT_NE(listing.find("FTSA"), std::string::npos);
   EXPECT_NE(listing.find("M*"), std::string::npos);
 
-  FailureScenario scenario;
+  FailureTimeline scenario;
   scenario.add(ProcId{0u}, 0.0);
   const SimulationResult r = simulate(s, scenario);
   const std::string egantt = execution_gantt(s, r);
@@ -304,21 +304,21 @@ std::string render_sim_golden() {
         const ProcId mid_proc = s.replicas(mid)[0].proc;
         const double mid_finish = clean.outcomes[mid.index()][0].finish;
 
-        FailureScenario at_zero;
+        FailureTimeline at_zero;
         at_zero.add(ProcId{0u}, 0.0);
         at_zero.add(ProcId{3u}, 0.0);
-        FailureScenario mid_run;
+        FailureTimeline mid_run;
         mid_run.add(ProcId{1u}, 0.3 * span);
         mid_run.add(ProcId{4u}, 0.6 * span);
-        FailureScenario one_instant;
+        FailureTimeline one_instant;
         for (const std::size_t p : {1u, 2u, 5u}) {
           one_instant.add(ProcId{p}, 0.5 * span);
         }
-        FailureScenario at_finish;
+        FailureTimeline at_finish;
         at_finish.add(mid_proc, mid_finish);
         at_finish.add(ProcId{(mid_proc.index() + 1) % kProcs}, mid_finish);
 
-        const std::pair<const char*, const FailureScenario*> sets[] = {
+        const std::pair<const char*, const FailureTimeline*> sets[] = {
             {"none", nullptr},
             {"t0", &at_zero},
             {"mid-run", &mid_run},

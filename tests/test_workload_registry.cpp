@@ -139,7 +139,7 @@ TEST(WorkloadProperty, EveryFamilyGeneratesSchedulableWorkloads) {
         EXPECT_LE(schedule.lower_bound(), schedule.upper_bound() + 1e-9);
         // One crash is within epsilon: the execution must succeed within
         // the guaranteed bound (Prop. 4.2).
-        FailureScenario crash;
+        FailureTimeline crash;
         crash.add(ProcId{static_cast<std::size_t>(rng() % point.proc_count)},
                   0.0);
         const SimulationResult r = simulate(schedule, crash);

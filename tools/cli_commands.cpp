@@ -123,14 +123,15 @@ ReplicatedSchedule run_algorithm(const std::string& algo,
 constexpr const char* kAlgoHelp =
     "registry spec, e.g. ftsa or mc-ftsa:selector=matching (see list-algos)";
 
-/// Parses "0@0,3@12.5" into a failure scenario (proc@time pairs).
+/// Parses "0@0,3@12.5" into a failure timeline of permanent crashes
+/// (proc@time pairs).
 ///
 /// Strict: stoul-style parsing would read "3x@1" as processor 3 with the
 /// "x" silently dropped, and wrap "-1" to a huge id before the narrowing
 /// cast; parse_u64/parse_double reject trailing junk and signs loudly.
-FailureScenario parse_crashes(const std::string& spec) {
-  FailureScenario scenario;
-  if (spec.empty()) return scenario;
+FailureTimeline parse_crashes(const std::string& spec) {
+  FailureTimeline crashes;
+  if (spec.empty()) return crashes;
   std::istringstream ss(spec);
   std::string item;
   while (std::getline(ss, item, ',')) {
@@ -144,13 +145,13 @@ FailureScenario parse_crashes(const std::string& spec) {
       FTSCHED_REQUIRE(proc < ProcId::kInvalid,
                       "processor id out of range: " + proc_part);
       const double time = spec_detail::parse_double("time", time_part);
-      scenario.add(ProcId{static_cast<std::size_t>(proc)}, time);
+      crashes.add(ProcId{static_cast<std::size_t>(proc)}, time);
     } catch (const InvalidArgument& e) {
       throw InvalidArgument("malformed crash spec item '" + item +
                             "' (expected proc@time): " + e.what());
     }
   }
-  return scenario;
+  return crashes;
 }
 
 /// Flush + close an output file and fail loudly if *anything* went wrong.
@@ -287,7 +288,7 @@ int cmd_simulate(const std::vector<std::string>& args, std::ostream& out) {
   const ReplicatedSchedule s =
       run_algorithm(cli.get("algo"), workload->costs(), epsilon,
                     static_cast<std::uint64_t>(cli.get_int("seed")));
-  FailureScenario scenario;
+  FailureTimeline crashes;
   if (!cli.get("failures").empty()) {
     FTSCHED_REQUIRE(cli.get("crashes").empty(),
                     "--crashes and --failures are mutually exclusive");
@@ -297,13 +298,13 @@ int cmd_simulate(const std::vector<std::string>& args, std::ostream& out) {
     Rng rng = Rng(static_cast<std::uint64_t>(cli.get_int("seed"))).derive(1);
     const std::vector<std::size_t> victims =
         model.draw(rng, workload->platform().proc_count(), epsilon);
-    for (std::size_t v : victims) scenario.add(ProcId{v}, 0.0);
+    for (std::size_t v : victims) crashes.add(ProcId{v}, 0.0);
     out << "failure model:        " << model.describe() << '\n';
     out << "drawn crashes:        " << victims.size() << " of "
         << workload->platform().proc_count() << " processors (epsilon "
         << epsilon << ")\n";
   } else {
-    scenario = parse_crashes(cli.get("crashes"));
+    crashes = parse_crashes(cli.get("crashes"));
   }
   SimulationOptions options;
   const std::string comm = cli.get("comm");
@@ -315,7 +316,7 @@ int cmd_simulate(const std::vector<std::string>& args, std::ostream& out) {
   } else {
     FTSCHED_REQUIRE(comm == "free", "unknown comm model: " + comm);
   }
-  const SimulationResult r = simulate(s, scenario, options);
+  const SimulationResult r = simulate(s, crashes, options);
   out << "success:              " << (r.success ? "yes" : "NO") << '\n';
   if (r.success) {
     out << "achieved latency:     " << r.latency << '\n';
