@@ -1,11 +1,18 @@
 // Fuzz-style property tests: random mutations of valid schedules must be
 // caught by the validator; random graph serialization round trips; the
-// umbrella header compiles and exposes the API.
+// shard, frame and service-message parsers reject truncated, oversized and
+// garbled input with an ftsched::Error and nothing else; the umbrella
+// header compiles and exposes the API.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
+#include <string>
+#include <typeinfo>
+#include <vector>
 
 #include "ftsched/ftsched.hpp"
+#include "proptest.hpp"
 
 namespace ftsched {
 namespace {
@@ -208,6 +215,229 @@ TEST_P(ScheduleIoFuzz, AllAlgorithmsRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ScheduleIoFuzz,
                          ::testing::Values(21u, 22u, 23u, 24u));
+
+// ------------------------------------------------- wire and shard parsers
+
+/// Uniform draw from {0, ..., n-1}.
+std::size_t below(Rng& rng, std::size_t n) {
+  return static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+}
+
+/// Tokens that stress the flat-JSON grammar and the number parsers.
+const std::vector<std::string>& hostile_tokens() {
+  static const std::vector<std::string> tokens = {
+      "\"", "\\", "\\u0000", "{", "}", ":", ",", "\n", "\r\n", " ", ";",
+      "-", "+", "-1", "0x", "0x1p99999", "-0x1.8p+1", "nan", "inf", "1e400",
+      "18446744073709551616", "99999999999999999999999", "\"\":\"\"",
+      std::string(1, '\0'), "\xff\xfe", "\"series\":", "\"n\":\"0\""};
+  return tokens;
+}
+
+/// One random corruption of `text`: truncation, garbled bytes, a dropped
+/// or duplicated span, a hostile token, or an oversized run.
+std::string corrupt(const std::string& text, Rng& rng) {
+  std::string out = text;
+  const std::size_t at = below(rng, out.size() + 1);
+  switch (below(rng, 6)) {
+    case 0:  // truncated
+      out.resize(at);
+      break;
+    case 1:  // garbled bytes
+      for (std::size_t i = 0, n = 1 + below(rng, 8); i < n && !out.empty();
+           ++i) {
+        out[below(rng, out.size())] = static_cast<char>(below(rng, 256));
+      }
+      break;
+    case 2:  // a span dropped
+      out.erase(at, below(rng, 40));
+      break;
+    case 3:  // a span duplicated
+      out.insert(at, out.substr(at, below(rng, 60)));
+      break;
+    case 4: {  // a hostile token
+      const auto& tokens = hostile_tokens();
+      out.insert(at, tokens[below(rng, tokens.size())]);
+      break;
+    }
+    default:  // an oversized run of one byte
+      out.insert(at, std::string(1000 + below(rng, 200000),
+                                 "9a\"{,;\\"[below(rng, 7)]));
+      break;
+  }
+  return out;
+}
+
+/// Runs `parse` on corrupted input: it may succeed, or throw an
+/// ftsched::Error; any other exception is a parser defect (a crash is
+/// the sanitizer build's to catch).
+template <typename Parse>
+void expect_clean_outcome(const std::string& input, Parse&& parse) {
+  try {
+    parse(input);
+  } catch (const Error&) {
+    // rejected with a diagnostic: fine
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "non-ftsched exception " << typeid(e).name() << ": "
+                  << e.what();
+  }
+}
+
+/// The shard stream of a tiny two-policy grid: a header line plus records.
+const std::string& valid_shard_text() {
+  static const std::string text = [] {
+    FigureConfig config = figure_config(1);
+    config.granularities = {0.6, 1.2};
+    config.graphs_per_point = 1;
+    config.proc_count = 5;
+    config.workload.proc_count = 5;
+    config.workload.task_min = config.workload.task_max = 12;
+    config.threads = 1;
+    config.failure_models = {"repair:p=0.4,mttr=0.5"};
+    config.policies = {"none", "requeue-heft"};
+    const SweepPlan plan(config);
+    std::ostringstream os;
+    ShardWriterSink sink(os, plan);
+    run_plan(plan, sink);
+    return os.str();
+  }();
+  return text;
+}
+
+std::vector<std::string> lines_of(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+TEST(ParserFuzz, ShardStreamsAndRecordsRejectCorruptInput) {
+  const std::string& valid = valid_shard_text();
+  const std::vector<std::string> lines = lines_of(valid);
+  ASSERT_GT(lines.size(), 2u);
+  {
+    std::istringstream in(valid);
+    EXPECT_EQ(read_shard(in, "valid").records.size(), lines.size() - 1);
+  }
+  proptest::check(
+      "corrupted shard streams and record lines throw ftsched::Error or "
+      "parse",
+      [&](Rng& rng, std::uint64_t) {
+        std::string text = valid;
+        for (std::size_t i = 0, n = 1 + below(rng, 3); i < n; ++i) {
+          text = corrupt(text, rng);
+        }
+        expect_clean_outcome(text, [](const std::string& t) {
+          std::istringstream in(t);
+          (void)read_shard(in, "fuzz");
+        });
+        const std::string line = corrupt(lines[below(rng, lines.size())], rng);
+        expect_clean_outcome(line, [](const std::string& l) {
+          (void)parse_shard_record(l, "fuzz");
+        });
+      },
+      {.iterations = 400});
+}
+
+/// Length-prefixed framing as util/net.hpp puts it on the wire.
+std::string frame(const std::string& payload) {
+  const auto n = static_cast<std::uint32_t>(payload.size());
+  std::string out;
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    out.push_back(static_cast<char>((n >> shift) & 0xffu));
+  }
+  return out + payload;
+}
+
+/// The messages a coordinator and a worker exchange, one of each kind,
+/// with real shard records in the sample frame.
+std::vector<std::string> valid_service_payloads() {
+  const std::vector<std::string> records = lines_of(valid_shard_text());
+  std::string sample = msg_sample_head(7, 3);
+  for (std::size_t i = 1; i < std::min<std::size_t>(records.size(), 6); ++i) {
+    sample += "\n" + records[i];
+  }
+  return {msg_hello("w1"),
+          msg_plan({"--figure", "1", "--graphs", "2"}, "0/1", "abc", true),
+          msg_ready("abc"),
+          msg_lease_request(),
+          msg_lease(7, {0, 3, 11}),
+          sample,
+          msg_done(7),
+          msg_heartbeat(),
+          msg_reject("fingerprint mismatch"),
+          msg_bye()};
+}
+
+TEST(ParserFuzz, FrameDecoderRejectsOversizedAndSurvivesGarbage) {
+  const std::vector<std::string> payloads = valid_service_payloads();
+  std::string stream;
+  for (const std::string& p : payloads) stream += frame(p);
+  {
+    // Byte-at-a-time delivery reassembles every frame exactly.
+    FrameDecoder decoder;
+    std::vector<std::string> got;
+    std::string payload;
+    for (const char c : stream) {
+      decoder.feed(&c, 1);
+      while (decoder.next(payload)) got.push_back(payload);
+    }
+    EXPECT_EQ(got, payloads);
+    EXPECT_FALSE(decoder.mid_frame());
+  }
+  {
+    FrameDecoder decoder;
+    const std::string huge = "\xff\xff\xff\xff";
+    decoder.feed(huge.data(), huge.size());
+    std::string payload;
+    EXPECT_THROW((void)decoder.next(payload), Error);
+  }
+  proptest::check(
+      "a corrupted frame stream decodes, waits, or throws ftsched::Error",
+      [&](Rng& rng, std::uint64_t) {
+        const std::string input = corrupt(stream, rng);
+        expect_clean_outcome(input, [&rng](const std::string& in) {
+          FrameDecoder decoder;
+          std::string payload;
+          std::size_t pos = 0;
+          while (pos < in.size()) {
+            const std::size_t n =
+                std::min(in.size() - pos, 1 + below(rng, 300));
+            decoder.feed(in.data() + pos, n);
+            pos += n;
+            while (decoder.next(payload)) {
+              EXPECT_LE(payload.size(), kMaxNetFrameBytes);
+            }
+          }
+        });
+      },
+      {.iterations = 400});
+}
+
+TEST(ParserFuzz, ServiceMessagesRejectCorruptInput) {
+  const std::vector<std::string> payloads = valid_service_payloads();
+  for (const std::string& p : payloads) {
+    const ServiceMessage msg = parse_service_message(p, "valid");
+    EXPECT_FALSE(msg.type.empty()) << p;
+  }
+  proptest::check(
+      "corrupted service messages throw ftsched::Error or parse",
+      [&](Rng& rng, std::uint64_t) {
+        const std::string input =
+            corrupt(payloads[below(rng, payloads.size())], rng);
+        expect_clean_outcome(input, [](const std::string& in) {
+          const ServiceMessage msg = parse_service_message(in, "fuzz");
+          // What the coordinator and worker read next off each kind.
+          if (msg.type == "lease") {
+            (void)parse_index_list(msg.field("ks"), "fuzz");
+          }
+          for (const std::string& line : msg.record_lines) {
+            (void)parse_shard_record(line, "fuzz");
+          }
+        });
+      },
+      {.iterations = 400});
+}
 
 }  // namespace
 }  // namespace ftsched
