@@ -21,7 +21,10 @@
 //  * the grouped-vs-ungrouped speedup — a wall-time *ratio*, so largely
 //    machine-independent — must be at least `min_speedup_ratio` (default
 //    0.5) of the baseline's: a halved speedup on a quiet runner is a real
-//    regression, while normal CI noise passes.
+//    regression, while normal CI noise passes;
+//  * the grouped policy grid may cost at most kMaxPolicyStaticRatio times
+//    the grouped static grid per instance — another same-run wall-time
+//    ratio, and the online path's target.
 //
 // Exit 0 = gate passed, 1 = usage/IO error, 3 = regression detected.
 #include <charconv>
@@ -33,6 +36,10 @@
 #include <string>
 
 namespace {
+
+/// Bound on (policy_grouped_seconds / policy_instances) /
+/// (grouped_seconds / instances).
+constexpr double kMaxPolicyStaticRatio = 2.0;
 
 /// Minimal scanner for the one-line flat JSON bench_sweep_cells emits:
 /// string keys, values either bare tokens (numbers, true/false) or quoted
@@ -207,6 +214,19 @@ int main(int argc, char** argv) {
     flag(msg.str());
   }
 
+  const double policy_static_ratio =
+      (number(fresh, "policy_grouped_seconds", fresh_path) /
+       number(fresh, "policy_instances", fresh_path)) /
+      (number(fresh, "grouped_seconds", fresh_path) /
+       number(fresh, "instances", fresh_path));
+  if (!(policy_static_ratio <= kMaxPolicyStaticRatio)) {
+    std::ostringstream msg;
+    msg << "grouped policy grid costs " << policy_static_ratio
+        << "x the grouped static grid per instance (bound "
+        << kMaxPolicyStaticRatio << "x)";
+    flag(msg.str());
+  }
+
   if (failures != 0) {
     std::cerr << "bench_gate: " << failures << " check(s) failed\n";
     return 3;
@@ -217,6 +237,7 @@ int main(int argc, char** argv) {
             << ", dedupe_hits=" << field(fresh, "dedupe_hits", fresh_path)
             << ", policy_online_runs="
             << field(fresh, "policy_online_runs", fresh_path)
-            << ", bit-identical\n";
+            << ", policy/static " << policy_static_ratio << "x (bound "
+            << kMaxPolicyStaticRatio << "x), bit-identical\n";
   return 0;
 }
