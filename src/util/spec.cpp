@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <sstream>
-#include <stdexcept>
 #include <system_error>
 
 namespace ftsched {
@@ -19,16 +18,16 @@ std::string join(const std::vector<std::string>& parts, const char* sep) {
 }
 
 std::uint64_t parse_u64(const std::string& key, const std::string& value) {
+  // std::from_chars, not std::stoull: stoull skips leading whitespace and
+  // then wraps a minus sign, so " -1" would read as 2^64 - 1.
   std::uint64_t v = 0;
-  bool ok = !value.empty() && value[0] != '-';
+  const char* first = value.data();
+  const char* last = first + value.size();
+  if (first != last && *first == '+') ++first;  // as parse_double
+  bool ok = first != last;
   if (ok) {
-    try {
-      std::size_t pos = 0;
-      v = std::stoull(value, &pos);
-      ok = pos == value.size();
-    } catch (const std::logic_error&) {
-      ok = false;
-    }
+    const auto result = std::from_chars(first, last, v);
+    ok = result.ec == std::errc{} && result.ptr == last;
   }
   if (!ok) {
     throw InvalidArgument("option '" + key +

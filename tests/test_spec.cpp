@@ -49,7 +49,9 @@ TEST(SpecOptions, EmptyValueIsAllowedButMissingKeyThrows) {
 }
 
 TEST(SpecOptions, NumericAccessorsValidate) {
-  const SpecOptions o = SpecOptions::parse("n=12,x=1.5,neg=-3,bad=two,b=1");
+  const SpecOptions o = SpecOptions::parse(
+      "n=12,x=1.5,neg=-3,bad=two,b=1,spaced= -1,plus=+4,"
+      "big=18446744073709551616");
   EXPECT_EQ(o.get_size("n", 0), 12u);
   EXPECT_EQ(o.get_u64("n", 0), 12u);
   EXPECT_EQ(o.get_size("absent", 7), 7u);
@@ -59,6 +61,10 @@ TEST(SpecOptions, NumericAccessorsValidate) {
   EXPECT_THROW((void)o.get_size("bad", 0), InvalidArgument);
   EXPECT_THROW((void)o.get_size("neg", 0), InvalidArgument);  // unsigned
   EXPECT_THROW((void)o.get_size("x", 0), InvalidArgument);    // trailing .5
+  // " -1" used to read as 2^64 - 1 (stoull skips the space, wraps the sign).
+  EXPECT_THROW((void)o.get_u64("spaced", 0), InvalidArgument);
+  EXPECT_EQ(o.get_u64("plus", 0), 4u);
+  EXPECT_THROW((void)o.get_u64("big", 0), InvalidArgument);  // 2^64
   EXPECT_THROW((void)o.get_double("bad", 0.0), InvalidArgument);
   EXPECT_TRUE(o.get_bool("b", false));
   EXPECT_THROW((void)o.get_bool("n", false), InvalidArgument);  // 12
