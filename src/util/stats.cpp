@@ -90,8 +90,10 @@ double hex_to_double(const std::string& text) {
   double value = 0.0;
   const auto result = std::from_chars(body.data(), body.data() + body.size(),
                                       value, std::chars_format::hex);
+  // from_chars takes a '-' of its own: "0x-1p+0" must not read as -1.
   FTSCHED_REQUIRE(
-      result.ec == std::errc{} && result.ptr == body.data() + body.size(),
+      result.ec == std::errc{} && result.ptr == body.data() + body.size() &&
+          body.front() != '-',
       "malformed hex-float literal: '" + text + "'");
   return negative ? -value : value;
 }

@@ -154,6 +154,10 @@ TEST(Stats, HexFloatSpecialValues) {
   EXPECT_THROW((void)hex_to_double(""), InvalidArgument);
   EXPECT_THROW((void)hex_to_double("0x1.8p+1 trailing"), InvalidArgument);
   EXPECT_THROW((void)hex_to_double("not-a-float"), InvalidArgument);
+  // A second sign after the first one or after "0x" is not a literal.
+  for (const char* bad : {"-0x-1p+0", "0x-1p+0", "+-1p+0", "--inf", "-"}) {
+    EXPECT_THROW((void)hex_to_double(bad), InvalidArgument) << bad;
+  }
 }
 
 TEST(StatsProperty, FromPartsRoundTripsAccumulatorState) {
