@@ -93,8 +93,8 @@ class ReschedulePolicy {
   virtual void on_event(const OnlineView& view, const OnlineEvent& event,
                         std::vector<ReplicaMove>& moves) = 0;
 
-  /// True for the no-op policy: the simulator then keeps the static
-  /// semantics (crashed processors never come back, stranded replicas die).
+  /// True for the no-op policy: the simulator then never calls on_event,
+  /// so the run is exactly the run without a policy.
   [[nodiscard]] virtual bool is_noop() const { return false; }
 };
 

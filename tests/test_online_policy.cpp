@@ -125,6 +125,45 @@ TEST(OnlinePolicy, EmptyTimelineMatchesStaticForEveryRegisteredPolicy) {
       {.iterations = 6});
 }
 
+/// Counts the simulator's calls; moves nothing.
+class CountingPolicy final : public ReschedulePolicy {
+ public:
+  explicit CountingPolicy(bool noop) : noop_(noop) {}
+  [[nodiscard]] std::string spec() const override { return "counting"; }
+  [[nodiscard]] bool is_noop() const override { return noop_; }
+  void begin_run() override { ++runs; }
+  void on_event(const OnlineView&, const OnlineEvent&,
+                std::vector<ReplicaMove>&) override {
+    ++events;
+  }
+
+  std::size_t runs = 0;
+  std::size_t events = 0;
+
+ private:
+  bool noop_;
+};
+
+TEST(OnlinePolicy, RunSummaryBeginsEachRunOnceAndSkipsANoopPolicy) {
+  Rng rng(5);
+  const auto w = random_workload(rng, 5, 16);
+  const auto s = ftsa_schedule(w->costs(), FtsaOptions{1, 0});
+  ScheduleSimulator sim(s);
+  FailureTimeline timeline;
+  timeline.add(ProcId{1}, 0.3 * s.lower_bound(), 0.6 * s.lower_bound());
+  timeline.add(ProcId{3}, 0.5 * s.lower_bound());
+  for (const bool noop : {false, true}) {
+    CountingPolicy policy(noop);
+    for (int run = 0; run < 3; ++run) {
+      (void)sim.run_summary(timeline, &policy);
+    }
+    (void)sim.run_summary(timeline);  // no policy, nothing to call
+    EXPECT_EQ(policy.runs, 3u) << "noop=" << noop;
+    // Two crashes and one repair per run; a no-op policy is never asked.
+    EXPECT_EQ(policy.events, noop ? 0u : 9u) << "noop=" << noop;
+  }
+}
+
 /// 2 workloads x 2 scenarios x 2 failure models x 3 policies x 2
 /// granularities x 2 reps = 96 instances; one failure law has repairs so
 /// the reactive policies actually fire.
